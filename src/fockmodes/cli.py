@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 reproduction-suite mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -228,10 +229,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged, so calls share it."""
+    return build_parser()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

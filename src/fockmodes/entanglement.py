@@ -118,6 +118,15 @@ def clip_spectrum(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+def _require_unit_sum(lambdas: np.ndarray) -> None:
+    """Raise unless the Schmidt coefficients sum to one within 1e-10."""
+    total = float(lambdas.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise NumericalConsistencyError(
+            f"Schmidt coefficients sum to {total!r}, expected 1 within 1e-10"
+        )
+
+
 def entropy_of_spectrum(lambdas: np.ndarray) -> float:
     """-sum lambda log2 lambda with the 0 log 0 := 0 convention."""
     lam = np.asarray(lambdas, dtype=float)
@@ -133,11 +142,7 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
     matrix, _, _ = coefficient_matrix(state, partition)
     singulars = np.linalg.svd(matrix, compute_uv=False)
     lambdas = clip_spectrum(singulars**2)
-    total = float(lambdas.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalConsistencyError(
-            f"Schmidt coefficients sum to {total!r}, expected 1 within 1e-10"
-        )
+    _require_unit_sum(lambdas)
     lambdas = np.sort(lambdas)[::-1]
     lambdas.setflags(write=False)
     return SchmidtSpectrum(

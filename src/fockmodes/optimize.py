@@ -9,20 +9,20 @@ at the identity, so the input state's own entropy is a structural lower
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .entanglement import Partition, schmidt_spectrum
+from .entanglement import Partition, _require_unit_sum, _restrict, schmidt_spectrum
 from .errors import DimensionError, NumericalConsistencyError
 from .fock import PureState, enumerate_sector, require_normalized
 from .transform import (
     HermitianParams,
     ModeUnitary,
     apply_redefinition,
+    exp_i_hermitian,
     exp_map,
     hermitian_from_params,
 )
@@ -187,8 +187,35 @@ def nelder_mead(
     return best_x, best_f
 
 
-def _restrict(occ, side):
-    return tuple(occ[i] for i in side)
+def _symmetric_tensor(terms, mode_count: int, total: int) -> np.ndarray:
+    """One photon-number sector as a dense symmetric (M,)*N tensor.
+
+    Entry (i1..iN) holds amp * sqrt(prod c!) / N! of the term whose
+    occupation c counts the indices i1..iN, and zero where no term has that
+    occupation.  Each multi-index gets the code sum_k (N+1)**i_k of its
+    occupation, built one axis at a time, and the code is looked up among
+    the terms' codes.  Codes too large for int64 stay Python integers.
+    """
+    base = total + 1
+    dtype = np.int64 if base**mode_count <= np.iinfo(np.int64).max else object
+    radix = np.array([base**j for j in range(mode_count)], dtype=dtype)
+    codes = radix
+    for _ in range(total - 1):
+        codes = np.add.outer(codes, radix)
+    term_codes = np.array(
+        [sum(c * base**j for j, c in enumerate(occ)) for occ, _ in terms], dtype=dtype
+    )
+    order = np.argsort(term_codes)
+    term_codes = term_codes[order]
+    values = np.array(
+        [
+            amp * math.sqrt(math.prod(math.factorial(c) for c in occ))
+            / math.factorial(total)
+            for occ, amp in terms
+        ]
+    )[order]
+    position = np.minimum(np.searchsorted(term_codes, codes), len(terms) - 1)
+    return np.where(term_codes[position] == codes, values[position], 0j)
 
 
 def entropy_objective(
@@ -199,9 +226,29 @@ def entropy_objective(
     The returned closure evaluates the same multinomial expansion as
     ``apply_redefinition``, vectorized per photon-number sector as a dense
     symmetric-tensor contraction so it is cheap enough for an optimizer
-    loop.  Oversized sectors fall back to the sparse path.
+    loop.  Everything that depends only on the state, the partition and M
+    is computed here once: each sector's tensor is filled in one vectorized
+    step from the occupation codes of its multi-indices (see
+    ``_symmetric_tensor``), never by enumerating permutations, together
+    with the flat positions, multinomial weights and Schmidt-matrix cells
+    its coefficients are read into.  An evaluation is then exp(iH), one
+    matrix product per photon and axis, an SVD and the entropy.  Oversized
+    sectors fall back to the sparse path.
+
+    The closure raises DimensionError for a theta whose length is not M^2
+    and NumericalConsistencyError when the Schmidt coefficients miss a sum
+    of one by more than 1e-10, as ``schmidt_spectrum`` does.
     """
     mode_count = state.mode_count
+    n_params = mode_count * mode_count
+
+    def require_params(theta) -> None:
+        if np.size(theta) != n_params:
+            raise DimensionError(
+                f"objective over {mode_count} modes takes M^2 = {n_params} "
+                f"parameters, got {np.size(theta)}"
+            )
+
     sectors: dict[int, list] = {}
     for occ, amp in state.amplitudes.items():
         sectors.setdefault(sum(occ), []).append((occ, amp))
@@ -209,6 +256,7 @@ def entropy_objective(
 
     if mode_count**max_total > _DENSE_SECTOR_LIMIT:
         def fallback(theta: np.ndarray) -> float:
+            require_params(theta)
             unitary = exp_map(theta)
             return schmidt_spectrum(
                 apply_redefinition(state, unitary), partition
@@ -239,24 +287,13 @@ def entropy_objective(
                 )
             )
             continue
-        tensor = np.zeros((mode_count,) * total, dtype=complex)
-        for occ, amp in sectors[total]:
-            modes = tuple(
-                itertools.chain.from_iterable([j] * c for j, c in enumerate(occ))
-            )
-            weight = amp * math.sqrt(
-                math.prod(math.factorial(c) for c in occ)
-            ) / math.factorial(total)
-            for perm in set(itertools.permutations(modes)):
-                tensor[perm] = weight
+        tensor = _symmetric_tensor(sectors[total], mode_count, total)
         flat = np.empty(len(occs), dtype=np.intp)
         weights = np.empty(len(occs), dtype=float)
         rows = np.empty(len(occs), dtype=np.intp)
         cols = np.empty(len(occs), dtype=np.intp)
         for idx, occ in enumerate(occs):
-            modes = tuple(
-                itertools.chain.from_iterable([j] * c for j, c in enumerate(occ))
-            )
+            modes = [j for j, c in enumerate(occ) for _ in range(c)]
             flat[idx] = np.ravel_multi_index(modes, tensor.shape)
             weights[idx] = math.factorial(total) / math.sqrt(
                 math.prod(math.factorial(c) for c in occ)
@@ -268,10 +305,8 @@ def entropy_objective(
     n_rows, n_cols = len(row_index), len(col_index)
 
     def objective(theta: np.ndarray) -> float:
-        herm = hermitian_from_params(theta)
-        eigvals, eigvecs = np.linalg.eigh(herm)
-        unitary = (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
-        subst = unitary.conj().T
+        require_params(theta)
+        subst = exp_i_hermitian(hermitian_from_params(theta)).conj().T
         coeff = np.zeros((n_rows, n_cols), dtype=complex)
         for block in blocks:
             if block[0] == 0:
@@ -279,12 +314,17 @@ def entropy_objective(
                 coeff[r, c] = amp
                 continue
             total, tensor, flat, weights, rows, cols = block
+            # Contract the leading axis with subst; the new axis goes last.
             transformed = tensor
             for _ in range(total):
-                transformed = np.tensordot(transformed, subst, axes=([0], [0]))
+                transformed = np.dot(
+                    np.ascontiguousarray(transformed.reshape(mode_count, -1).T),
+                    subst,
+                )
             coeff[rows, cols] = transformed.reshape(-1)[flat] * weights
         singulars = np.linalg.svd(coeff, compute_uv=False)
         lam = singulars * singulars
+        _require_unit_sum(lam)
         lam = lam[lam > 0.0]
         return float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0
 

@@ -14,6 +14,7 @@ independent formula and is kept as a cross-check, not as the production path.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import defaultdict
@@ -108,6 +109,21 @@ class HermitianParams:
         return math.isqrt(self.theta.size)
 
 
+@functools.cache
+def _hermitian_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in a dim x dim matrix of the diagonal, the strict upper
+    triangle and its mirror below, in the order of the parameter layout."""
+    upper = np.triu_indices(dim, k=1)
+    layout = (
+        np.arange(dim) * (dim + 1),
+        upper[0] * dim + upper[1],
+        upper[1] * dim + upper[0],
+    )
+    for positions in layout:
+        positions.setflags(write=False)
+    return layout
+
+
 def hermitian_from_params(theta) -> np.ndarray:
     """Assemble the Hermitian matrix encoded by a length-M^2 real vector."""
     theta = np.asarray(theta, dtype=float).ravel()
@@ -116,15 +132,24 @@ def hermitian_from_params(theta) -> np.ndarray:
         raise DimensionError(
             f"parameter vector length {theta.size} is not a positive square"
         )
-    herm = np.zeros((dim, dim), dtype=complex)
-    herm[np.diag_indices(dim)] = theta[:dim]
-    if dim > 1:
-        pairs = dim * (dim - 1) // 2
-        upper = np.triu_indices(dim, k=1)
-        values = theta[dim : dim + pairs] + 1j * theta[dim + pairs :]
-        herm[upper] = values
-        herm[(upper[1], upper[0])] = values.conj()
-    return herm
+    diagonal, upper, lower = _hermitian_layout(dim)
+    pairs = upper.size
+    values = theta[dim : dim + pairs] + 1j * theta[dim + pairs :]
+    herm = np.zeros(dim * dim, dtype=complex)
+    herm[diagonal] = theta[:dim]
+    herm[upper] = values
+    herm[lower] = values.conj()
+    return herm.reshape(dim, dim)
+
+
+def exp_i_hermitian(herm: np.ndarray) -> np.ndarray:
+    """exp(iH) through the eigendecomposition of H, as a plain array.
+
+    The shared core of ``exp_map``, which validates the result as a
+    ModeUnitary, and of the optimizer's objective, which does not.
+    """
+    eigvals, eigvecs = np.linalg.eigh(herm)
+    return (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
 
 
 def exp_map(params) -> ModeUnitary:
@@ -135,10 +160,9 @@ def exp_map(params) -> ModeUnitary:
     optimization over all mode redefinitions.
     """
     theta = params.theta if isinstance(params, HermitianParams) else params
-    herm = hermitian_from_params(theta)
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    unitary = (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
-    return ModeUnitary(unitary, tol=EXP_MAP_TOLERANCE)
+    return ModeUnitary(
+        exp_i_hermitian(hermitian_from_params(theta)), tol=EXP_MAP_TOLERANCE
+    )
 
 
 def beam_splitter(

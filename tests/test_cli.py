@@ -122,3 +122,29 @@ def test_numerical_consistency_maps_to_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "schmidt_spectrum", broken)
     assert run_cli(["entropy", "|01>+|10>", "--partition", "0|1"]) == 4
     assert "forced" in capsys.readouterr().err
+
+
+def test_repeated_calls_match_fresh_parser(capsys):
+    from fockmodes import cli as cli_module
+
+    queries = [
+        ["entropy", "|01>"],
+        ["entropy", "|20>+|02>", "--partition", "0|1", "--json"],
+        ["optimize", "|20>+|02>", "--partition", "0|1", "--direction", "max",
+         "--restarts", "2", "--json"],
+    ]
+
+    def outcome(argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out) if captured.out else {}
+        report.pop("wall_ms", None)
+        return code, report, captured.err
+
+    warm = [outcome(argv) for argv in queries]
+    fresh = []
+    for argv in queries:
+        cli_module._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in warm] == [2, 0, 0]
+    assert warm == fresh

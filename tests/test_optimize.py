@@ -1,15 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from fockmodes import (
+    DimensionError,
     NumericalConsistencyError,
     OptConfig,
     Partition,
+    PureState,
     apply_redefinition,
+    exp_map,
     nelder_mead,
     optimize_entanglement,
+    parse_state,
     schmidt_spectrum,
 )
 from fockmodes.optimize import entropy_objective
@@ -56,12 +61,71 @@ def test_objective_matches_library_entropy(rng):
     objective = entropy_objective(state, part)
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi, 9)
-        from fockmodes import exp_map
-
         direct = schmidt_spectrum(
             apply_redefinition(state, exp_map(theta)), part
         ).entropy_bits
         assert objective(theta) == pytest.approx(direct, abs=1e-12)
+
+
+def _spread_state(mode_count):
+    """Three photons in `mode_count` modes: spread, bunched, and in between."""
+    pad = (0,) * (mode_count - 3)
+    return PureState(mode_count, {
+        (1, 1, 1) + pad: 0.6,
+        pad + (0, 0, 3): 0.48j,
+        (0, 2) + pad + (1,): -0.64,
+    })
+
+
+@pytest.mark.parametrize(
+    "state, cut",
+    [
+        (PureState(2, {(8, 0): 0.6, (0, 8): 0.8 * np.exp(0.7j)}), "0|1"),
+        (parse_state("|3,3,2>"), "0|1,2"),
+        (parse_state("|2,2,2,1>"), "0,1|2,3"),
+        (parse_state("|000> + 0.5i*|110> - |101> + |020>"), "0|1,2"),
+        (parse_state("|0000> + |1100> + 0.5*|0011> - |2000>"), "0,2|1,3"),
+        # 40**3 = 64 000 entries is dense, but 4**40 overflows an int64 code.
+        (_spread_state(40), "0|" + ",".join(map(str, range(1, 40)))),
+    ],
+    ids=["noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40"],
+)
+def test_dense_objective_matches_sparse_rewrite(state, cut):
+    part = Partition.from_string(cut)
+    objective = entropy_objective(state, part)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, state.mode_count**2)
+        direct = schmidt_spectrum(
+            apply_redefinition(state, exp_map(theta)), part
+        ).entropy_bits
+        assert objective(theta) == pytest.approx(direct, abs=1e-12)
+
+
+def test_objective_build_is_not_factorial_in_photons():
+    start = time.perf_counter()
+    objective = entropy_objective(parse_state("|14,0> + |0,14>"), Partition((0,), (1,)))
+    assert time.perf_counter() - start < 5.0
+    assert objective(np.zeros(4)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ket", ["|20> + |02>", "|19,0>"], ids=["dense", "sparse"])
+def test_objective_rejects_wrong_length_theta(ket):
+    state = parse_state(ket)
+    assert state.mode_count == 2
+    objective = entropy_objective(state, Partition((0,), (1,)))
+    with pytest.raises(DimensionError, match=r"M\^2 = 4 parameters, got 9"):
+        objective(np.zeros(9))
+
+
+def test_objective_checks_schmidt_coefficients_sum_to_one():
+    part = Partition((0,), (1,))
+    objective = entropy_objective(parse_state("|20> + |02>"), part)
+    theta = np.random.default_rng(5).uniform(-np.pi, np.pi, 4)
+    assert 0.0 <= objective(theta) <= math.log2(3) + 1e-12
+    unnormalized = PureState(2, {(2, 0): 1.0, (0, 2): 1.0})
+    with pytest.raises(NumericalConsistencyError, match="sum to"):
+        entropy_objective(unnormalized, part)(theta)
 
 
 def test_optimize_two_photon_pair_extrema():

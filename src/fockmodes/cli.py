@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .entanglement import Partition, rank_bound, schmidt_spectrum
 from .errors import (
@@ -50,19 +50,14 @@ class Report:
     seed: int | None = None
     wall_ms: float | None = None
 
-    _ORDER = (
-        "input", "partition", "lambdas", "entropy_bits", "rank",
-        "rank_bound", "direction", "best", "restart_values", "seed", "wall_ms",
-    )
-
     def to_json(self) -> str:
-        doc = {k: getattr(self, k) for k in self._ORDER if getattr(self, k) is not None}
-        return json.dumps(doc)
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps({k: v for k, v in doc.items() if v is not None})
 
     def to_table(self) -> str:
         lines = []
-        for key in self._ORDER:
-            value = getattr(self, key)
+        for field in fields(self):
+            key, value = field.name, getattr(self, field.name)
             if value is None:
                 continue
             if key == "lambdas" or key == "restart_values":
@@ -151,9 +146,7 @@ def _cmd_optimize(args) -> int:
     partition = Partition.from_string(args.partition)
     cfg = OptConfig(direction=args.direction, restarts=args.restarts, seed=args.seed)
     result = optimize_entanglement(state, partition, cfg)
-    spectrum = schmidt_spectrum(
-        apply_redefinition(state, result.best_unitary), partition
-    )
+    spectrum = result.best_spectrum
     report = Report(
         input=args.state,
         partition=str(partition),

@@ -24,7 +24,7 @@ import re
 import numpy as np
 
 from .errors import KetParseError, UnitaryFileError
-from .fock import Occupation, PureState, canonicalize_phase, require_normalized
+from .fock import Occupation, PureState, canonicalize_phase, normalize, require_normalized
 from .transform import ModeUnitary, validate_unitary
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -253,10 +253,7 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
         raise KetParseError("state is zero after merging like terms", first_pos)
     if raw:
         return state
-    nrm = state.norm()
-    return PureState(
-        mode_count, {occ: amp / nrm for occ, amp in state.amplitudes.items()}
-    )
+    return normalize(state)
 
 
 def _format_real(value: float, precision: int) -> str:

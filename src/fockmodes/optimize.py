@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import Partition, _require_unit_sum, _restrict, schmidt_spectrum
+from .entanglement import Partition, SchmidtSpectrum, _require_unit_sum, schmidt_spectrum
 from .errors import DimensionError, NumericalConsistencyError
-from .fock import PureState, enumerate_sector, require_normalized
+from .fock import PureState, require_normalized
 from .transform import (
     HermitianParams,
     ModeUnitary,
@@ -60,12 +60,13 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best extremum found, its unitary, and per-restart bookkeeping."""
+    """Best extremum, its unitary and Schmidt spectrum, and per-restart bookkeeping."""
 
     direction: str
     best_entropy_bits: float
     best_unitary: ModeUnitary
     best_params: HermitianParams
+    best_spectrum: SchmidtSpectrum
     per_restart_values: tuple[float, ...]
     evaluations: int
     converged: bool
@@ -187,37 +188,6 @@ def nelder_mead(
     return best_x, best_f
 
 
-def _symmetric_tensor(terms, mode_count: int, total: int) -> np.ndarray:
-    """One photon-number sector as a dense symmetric (M,)*N tensor.
-
-    Entry (i1..iN) holds amp * sqrt(prod c!) / N! of the term whose
-    occupation c counts the indices i1..iN, and zero where no term has that
-    occupation.  Each multi-index gets the code sum_k (N+1)**i_k of its
-    occupation, built one axis at a time, and the code is looked up among
-    the terms' codes.  Codes too large for int64 stay Python integers.
-    """
-    base = total + 1
-    dtype = np.int64 if base**mode_count <= np.iinfo(np.int64).max else object
-    radix = np.array([base**j for j in range(mode_count)], dtype=dtype)
-    codes = radix
-    for _ in range(total - 1):
-        codes = np.add.outer(codes, radix)
-    term_codes = np.array(
-        [sum(c * base**j for j, c in enumerate(occ)) for occ, _ in terms], dtype=dtype
-    )
-    order = np.argsort(term_codes)
-    term_codes = term_codes[order]
-    values = np.array(
-        [
-            amp * math.sqrt(math.prod(math.factorial(c) for c in occ))
-            / math.factorial(total)
-            for occ, amp in terms
-        ]
-    )[order]
-    position = np.minimum(np.searchsorted(term_codes, codes), len(terms) - 1)
-    return np.where(term_codes[position] == codes, values[position], 0j)
-
-
 def entropy_objective(
     state: PureState, partition: Partition
 ) -> Callable[[np.ndarray], float]:
@@ -227,13 +197,17 @@ def entropy_objective(
     ``apply_redefinition``, vectorized per photon-number sector as a dense
     symmetric-tensor contraction so it is cheap enough for an optimizer
     loop.  Everything that depends only on the state, the partition and M
-    is computed here once: each sector's tensor is filled in one vectorized
-    step from the occupation codes of its multi-indices (see
-    ``_symmetric_tensor``), never by enumerating permutations, together
-    with the flat positions, multinomial weights and Schmidt-matrix cells
-    its coefficients are read into.  An evaluation is then exp(iH), one
-    matrix product per photon and axis, an SVD and the entropy.  Oversized
-    sectors fall back to the sparse path.
+    is computed here once, for each populated sector of N photons, from one
+    key: every multi-index of the (M,)*N grid is sorted, and the sorted
+    copy's flat position is its key.  The multi-indices that are their own
+    key are the non-decreasing ones, one per occupation, so they give the
+    flat positions the coefficients are read from, the occupations (by
+    counting digits), the multinomial weights and the Schmidt-matrix cells.
+    The symmetric tensor holds amp * sqrt(prod c!) / N! of each term at
+    every multi-index whose key is the term's.  The vacuum sector takes the
+    same path.  An evaluation is then exp(iH), one matrix product per photon
+    and axis, an SVD and the entropy.  Oversized sectors fall back to the
+    sparse path.
 
     The closure raises DimensionError for a theta whose length is not M^2
     and NumericalConsistencyError when the Schmidt coefficients miss a sum
@@ -265,42 +239,48 @@ def entropy_objective(
         return fallback
 
     # Row/column layout over every occupation reachable in the populated
-    # sectors (a redefinition can fill each sector completely).
+    # sectors (a redefinition can fill each sector completely), numbered in
+    # order of first appearance across sectors.
     row_index: dict[tuple, int] = {}
     col_index: dict[tuple, int] = {}
+
+    def number(index: dict[tuple, int], labels: np.ndarray) -> np.ndarray:
+        return np.array(
+            [index.setdefault(label, len(index)) for label in map(tuple, labels.tolist())]
+        )
+
     blocks = []
     for total in sorted(sectors):
-        occs = enumerate_sector(mode_count, total)
-        for occ in occs:
-            row = _restrict(occ, partition.side_a)
-            col = _restrict(occ, partition.side_b)
-            row_index.setdefault(row, len(row_index))
-            col_index.setdefault(col, len(col_index))
-        if total == 0:
-            vac = occs[0]
-            blocks.append(
-                (
-                    0,
-                    complex(dict(sectors[0])[vac]),
-                    row_index[_restrict(vac, partition.side_a)],
-                    col_index[_restrict(vac, partition.side_b)],
-                )
+        shape = (mode_count,) * total
+        digits = np.indices(shape, dtype=np.min_scalar_type(mode_count))
+        # Odd-even transposition sort along the short leading axis: N
+        # vectorized rounds, where np.sort pays a call per multi-index.
+        for step in range(total):
+            low, high = digits[step % 2 : total - 1 : 2], digits[step % 2 + 1 :: 2]
+            low[...], high[...] = np.minimum(low, high), np.maximum(low, high)
+        # Keys stay below M^N <= _DENSE_SECTOR_LIMIT, well inside int64.
+        key = np.zeros(shape, dtype=np.int64)
+        for digit in digits:
+            key *= mode_count
+            key += digit
+        # In C order the non-decreasing multi-indices list the occupations
+        # as enumerate_sector does.
+        flat = np.flatnonzero(key.ravel() == np.arange(key.size))
+        sorted_modes = digits.reshape(total, key.size)[:, flat]
+        counts = np.zeros((flat.size, mode_count), dtype=np.min_scalar_type(total))
+        np.add.at(counts, (np.arange(flat.size), sorted_modes), 1)
+        factorials = np.array([math.factorial(c) for c in range(total + 1)])
+        weights = math.factorial(total) / np.sqrt(factorials[counts].prod(axis=1))
+        rows = number(row_index, counts[:, partition.side_a])
+        cols = number(col_index, counts[:, partition.side_b])
+        values = np.zeros(key.size, dtype=complex)
+        for occ, amp in sectors[total]:
+            term_key = np.ravel_multi_index(np.repeat(np.arange(mode_count), occ), shape)
+            values[term_key] = (
+                amp * math.sqrt(math.prod(math.factorial(c) for c in occ))
+                / math.factorial(total)
             )
-            continue
-        tensor = _symmetric_tensor(sectors[total], mode_count, total)
-        flat = np.empty(len(occs), dtype=np.intp)
-        weights = np.empty(len(occs), dtype=float)
-        rows = np.empty(len(occs), dtype=np.intp)
-        cols = np.empty(len(occs), dtype=np.intp)
-        for idx, occ in enumerate(occs):
-            modes = [j for j, c in enumerate(occ) for _ in range(c)]
-            flat[idx] = np.ravel_multi_index(modes, tensor.shape)
-            weights[idx] = math.factorial(total) / math.sqrt(
-                math.prod(math.factorial(c) for c in occ)
-            )
-            rows[idx] = row_index[_restrict(occ, partition.side_a)]
-            cols[idx] = col_index[_restrict(occ, partition.side_b)]
-        blocks.append((total, tensor, flat, weights, rows, cols))
+        blocks.append((total, values[key], flat, weights, rows, cols))
 
     n_rows, n_cols = len(row_index), len(col_index)
 
@@ -308,12 +288,7 @@ def entropy_objective(
         require_params(theta)
         subst = exp_i_hermitian(hermitian_from_params(theta)).conj().T
         coeff = np.zeros((n_rows, n_cols), dtype=complex)
-        for block in blocks:
-            if block[0] == 0:
-                _, amp, r, c = block
-                coeff[r, c] = amp
-                continue
-            total, tensor, flat, weights, rows, cols = block
+        for total, tensor, flat, weights, rows, cols in blocks:
             # Contract the leading axis with subst; the new axis goes last.
             transformed = tensor
             for _ in range(total):
@@ -385,19 +360,18 @@ def optimize_entanglement(
 
     best_params = HermitianParams(best_theta)
     best_unitary = exp_map(best_params)
-    recheck = schmidt_spectrum(
-        apply_redefinition(state, best_unitary), partition
-    ).entropy_bits
-    if abs(recheck - best_value) > 1e-9:
+    best_spectrum = schmidt_spectrum(apply_redefinition(state, best_unitary), partition)
+    if abs(best_spectrum.entropy_bits - best_value) > 1e-9:
         raise NumericalConsistencyError(
             f"optimizer value {best_value!r} disagrees with re-evaluated "
-            f"entropy {recheck!r}"
+            f"entropy {best_spectrum.entropy_bits!r}"
         )
     return OptResult(
         direction=cfg.direction,
         best_entropy_bits=best_value,
         best_unitary=best_unitary,
         best_params=best_params,
+        best_spectrum=best_spectrum,
         per_restart_values=tuple(per_restart),
         evaluations=evaluations,
         converged=best_converged,

@@ -18,7 +18,7 @@ from .entanglement import (
     reduced_density_matrix,
     schmidt_spectrum,
 )
-from .fock import PureState, inner_product
+from .fock import PureState, inner_product, normalize
 from .ketparse import parse_state
 from .optimize import OptConfig, OptResult, optimize_entanglement
 from .transform import ModeUnitary, apply_redefinition, beam_splitter
@@ -49,10 +49,7 @@ def crossed_pair_state(pairs: int) -> PureState:
         occ[i] = 1
         occ[mode_count - 1 - i] = 1
         terms[tuple(occ)] = 1.0
-    state = PureState(mode_count, terms)
-    return PureState(
-        mode_count, {occ: a / state.norm() for occ, a in state.amplitudes.items()}
-    )
+    return normalize(PureState(mode_count, terms))
 
 
 def four_photon_state() -> PureState:
@@ -298,9 +295,7 @@ def run_reference_suite(
     max_run = _opt(state, cut_22, "max", seed, restarts, 4000)
     add("11.3", "four-photon state: maximal entropy (01|23)",
         2.9798, max_run.best_entropy_bits, 2e-3)
-    spectrum = schmidt_spectrum(
-        apply_redefinition(state, max_run.best_unitary), cut_22
-    )
+    spectrum = max_run.best_spectrum
     add("11.4", "four-photon state: Schmidt rank at the maximum",
         9, spectrum.numerical_rank, 0)
     top = spectrum.lambdas[: spectrum.numerical_rank]

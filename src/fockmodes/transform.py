@@ -83,6 +83,16 @@ def validate_unitary(entries, tol: float = UNITARY_TOLERANCE) -> ModeUnitary:
     return ModeUnitary(entries, tol=tol)
 
 
+def _square_dim(theta: np.ndarray) -> int:
+    """M for a parameter vector of length M^2 with M >= 1."""
+    dim = math.isqrt(theta.size)
+    if dim * dim != theta.size or dim < 1:
+        raise DimensionError(
+            f"parameter vector length {theta.size} is not a positive square"
+        )
+    return dim
+
+
 @dataclass(frozen=True)
 class HermitianParams:
     """Real coordinates of an M x M Hermitian matrix, length M^2.
@@ -96,11 +106,7 @@ class HermitianParams:
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float).ravel().copy()
-        dim = math.isqrt(theta.size)
-        if dim * dim != theta.size or dim < 1:
-            raise DimensionError(
-                f"parameter vector length {theta.size} is not a positive square"
-            )
+        _square_dim(theta)
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
@@ -127,11 +133,7 @@ def _hermitian_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def hermitian_from_params(theta) -> np.ndarray:
     """Assemble the Hermitian matrix encoded by a length-M^2 real vector."""
     theta = np.asarray(theta, dtype=float).ravel()
-    dim = math.isqrt(theta.size)
-    if dim * dim != theta.size or dim < 1:
-        raise DimensionError(
-            f"parameter vector length {theta.size} is not a positive square"
-        )
+    dim = _square_dim(theta)
     diagonal, upper, lower = _hermitian_layout(dim)
     pairs = upper.size
     values = theta[dim : dim + pairs] + 1j * theta[dim + pairs :]

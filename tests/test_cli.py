@@ -73,6 +73,26 @@ def test_optimize_command_json(capsys):
     assert doc["restart_values"] == list(result.per_restart_values)
 
 
+def test_optimize_command_rewrites_the_state_once(monkeypatch, capsys):
+    from fockmodes import cli as cli_module
+    from fockmodes import optimize as optimize_module
+
+    calls = []
+    original = optimize_module.apply_redefinition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli_module, optimize_module):
+        monkeypatch.setattr(module, "apply_redefinition", counted)
+    argv = ["optimize", "|20>+|02>", "--partition", "0|1", "--direction", "max",
+            "--restarts", "2", "--json"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_rank_bound_command(capsys):
     code = run_cli(["rank-bound", "|20>+|02>", "--partition", "0|1", "--json"])
     assert code == 0

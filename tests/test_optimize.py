@@ -85,10 +85,15 @@ def _spread_state(mode_count):
         (parse_state("|2,2,2,1>"), "0,1|2,3"),
         (parse_state("|000> + 0.5i*|110> - |101> + |020>"), "0|1,2"),
         (parse_state("|0000> + |1100> + 0.5*|0011> - |2000>"), "0,2|1,3"),
-        # 40**3 = 64 000 entries is dense, but 4**40 overflows an int64 code.
+        # Three photons in 40 modes: a wide sector, 64 000 grid entries.
         (_spread_state(40), "0|" + ",".join(map(str, range(1, 40)))),
+        (parse_state("|00>"), "0|1"),
+        (parse_state("|000> + |111>"), "0|1,2"),
     ],
-    ids=["noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40"],
+    ids=[
+        "noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40",
+        "vacuum", "vacuum-triple3",
+    ],
 )
 def test_dense_objective_matches_sparse_rewrite(state, cut):
     part = Partition.from_string(cut)
@@ -152,6 +157,7 @@ def test_optimize_result_reverifies_and_sandwiches():
             apply_redefinition(state, result.best_unitary), part
         ).entropy_bits
         assert redone == pytest.approx(result.best_entropy_bits, abs=1e-9)
+        assert result.best_spectrum.entropy_bits == redone
 
 
 def test_optimize_deterministic_per_restart_values():

@@ -2,7 +2,8 @@
 and the built-in reproduction suite.
 
 Exit codes: 0 success, 1 reproduction-suite mismatch, 2 usage error,
-3 input parse error, 4 numerical-consistency error.
+3 input parse error, 4 numerical-consistency error, 5 input over a size
+limit (a rewrite needing more ladder rows than ``LADDER_ROW_LIMIT``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     NumericalConsistencyError,
     ParseError,
     PartitionError,
+    SizeLimitError,
 )
 from .ketparse import format_state, parse_state, parse_unitary_file
 from .optimize import OptConfig, optimize_entanglement
@@ -32,6 +34,7 @@ from .transform import apply_redefinition
 USAGE_ERROR = 2
 PARSE_ERROR = 3
 NUMERICAL_ERROR = 4
+SIZE_LIMIT_ERROR = 5
 
 
 @dataclass
@@ -244,6 +247,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (NumericalConsistencyError, NotNormalizedError, DegenerateStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except SizeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return SIZE_LIMIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -21,14 +21,15 @@ from .fock import PureState, require_normalized
 from .transform import (
     HermitianParams,
     ModeUnitary,
+    _climb,
+    _sector_index,
+    _sector_plans,
     apply_redefinition,
     exp_i_hermitian,
     exp_map,
     hermitian_from_params,
 )
 
-# Above this dense sector size the objective falls back to the sparse path.
-_DENSE_SECTOR_LIMIT = 300_000
 # The optimizer is meant for desk-scale problems; M^2 parameters beyond this
 # would make Nelder-Mead pointless anyway.
 _MAX_PARAMETERS = 144
@@ -193,21 +194,16 @@ def entropy_objective(
 ) -> Callable[[np.ndarray], float]:
     """Build theta -> entropy_bits(apply_redefinition(state, exp_map(theta)), p).
 
-    The returned closure evaluates the same multinomial expansion as
-    ``apply_redefinition``, vectorized per photon-number sector as a dense
-    symmetric-tensor contraction so it is cheap enough for an optimizer
-    loop.  Everything that depends only on the state, the partition and M
-    is computed here once, for each populated sector of N photons, from one
-    key: every multi-index of the (M,)*N grid is sorted, and the sorted
-    copy's flat position is its key.  The multi-indices that are their own
-    key are the non-decreasing ones, one per occupation, so they give the
-    flat positions the coefficients are read from, the occupations (by
-    counting digits), the multinomial weights and the Schmidt-matrix cells.
-    The symmetric tensor holds amp * sqrt(prod c!) / N! of each term at
-    every multi-index whose key is the term's.  The vacuum sector takes the
-    same path.  An evaluation is then exp(iH), one matrix product per photon
-    and axis, an SVD and the entropy.  Oversized sectors fall back to the
-    sparse path.
+    The returned closure runs the photon-number ladder of
+    ``apply_redefinition`` on every populated sector of N photons, with all
+    that depends only on the state, the partition and M prepared here once:
+    the cached ladder tables, each sector's terms as steps and weights, and
+    the Schmidt-matrix cell of every occupation of the sector, its row and
+    column being the index of its side-A and side-B occupation.  An
+    evaluation is then exp(iH), N gather-multiply steps per sector (the last
+    one summing the terms), the scatter into the Schmidt matrix, an SVD and
+    the entropy.  A state past the ladder's size limit raises SizeLimitError
+    here, before any table is built.
 
     The closure raises DimensionError for a theta whose length is not M^2
     and NumericalConsistencyError when the Schmidt coefficients miss a sum
@@ -215,88 +211,32 @@ def entropy_objective(
     """
     mode_count = state.mode_count
     n_params = mode_count * mode_count
+    rungs, plans = _sector_plans(state)
+    blocks = [
+        (
+            batches,
+            _sector_index(mode_count, total, partition.side_a),
+            _sector_index(mode_count, total, partition.side_b),
+        )
+        for total, batches in plans
+    ]
+    # The top sector holds every split of its N photons, so the indices of the
+    # side-A and side-B occupations number the Schmidt matrix's rows and columns.
+    top = max((total for total, _ in plans), default=0)
+    shape = tuple(
+        math.comb(top + len(side), top) for side in (partition.side_a, partition.side_b)
+    )
 
-    def require_params(theta) -> None:
+    def objective(theta: np.ndarray) -> float:
         if np.size(theta) != n_params:
             raise DimensionError(
                 f"objective over {mode_count} modes takes M^2 = {n_params} "
                 f"parameters, got {np.size(theta)}"
             )
-
-    sectors: dict[int, list] = {}
-    for occ, amp in state.amplitudes.items():
-        sectors.setdefault(sum(occ), []).append((occ, amp))
-    max_total = max(sectors) if sectors else 0
-
-    if mode_count**max_total > _DENSE_SECTOR_LIMIT:
-        def fallback(theta: np.ndarray) -> float:
-            require_params(theta)
-            unitary = exp_map(theta)
-            return schmidt_spectrum(
-                apply_redefinition(state, unitary), partition
-            ).entropy_bits
-
-        return fallback
-
-    # Row/column layout over every occupation reachable in the populated
-    # sectors (a redefinition can fill each sector completely), numbered in
-    # order of first appearance across sectors.
-    row_index: dict[tuple, int] = {}
-    col_index: dict[tuple, int] = {}
-
-    def number(index: dict[tuple, int], labels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [index.setdefault(label, len(index)) for label in map(tuple, labels.tolist())]
-        )
-
-    blocks = []
-    for total in sorted(sectors):
-        shape = (mode_count,) * total
-        digits = np.indices(shape, dtype=np.min_scalar_type(mode_count))
-        # Odd-even transposition sort along the short leading axis: N
-        # vectorized rounds, where np.sort pays a call per multi-index.
-        for step in range(total):
-            low, high = digits[step % 2 : total - 1 : 2], digits[step % 2 + 1 :: 2]
-            low[...], high[...] = np.minimum(low, high), np.maximum(low, high)
-        # Keys stay below M^N <= _DENSE_SECTOR_LIMIT, well inside int64.
-        key = np.zeros(shape, dtype=np.int64)
-        for digit in digits:
-            key *= mode_count
-            key += digit
-        # In C order the non-decreasing multi-indices list the occupations
-        # as enumerate_sector does.
-        flat = np.flatnonzero(key.ravel() == np.arange(key.size))
-        sorted_modes = digits.reshape(total, key.size)[:, flat]
-        counts = np.zeros((flat.size, mode_count), dtype=np.min_scalar_type(total))
-        np.add.at(counts, (np.arange(flat.size), sorted_modes), 1)
-        factorials = np.array([math.factorial(c) for c in range(total + 1)])
-        weights = math.factorial(total) / np.sqrt(factorials[counts].prod(axis=1))
-        rows = number(row_index, counts[:, partition.side_a])
-        cols = number(col_index, counts[:, partition.side_b])
-        values = np.zeros(key.size, dtype=complex)
-        for occ, amp in sectors[total]:
-            term_key = np.ravel_multi_index(np.repeat(np.arange(mode_count), occ), shape)
-            values[term_key] = (
-                amp * math.sqrt(math.prod(math.factorial(c) for c in occ))
-                / math.factorial(total)
-            )
-        blocks.append((total, values[key], flat, weights, rows, cols))
-
-    n_rows, n_cols = len(row_index), len(col_index)
-
-    def objective(theta: np.ndarray) -> float:
-        require_params(theta)
         subst = exp_i_hermitian(hermitian_from_params(theta)).conj().T
-        coeff = np.zeros((n_rows, n_cols), dtype=complex)
-        for total, tensor, flat, weights, rows, cols in blocks:
-            # Contract the leading axis with subst; the new axis goes last.
-            transformed = tensor
-            for _ in range(total):
-                transformed = np.dot(
-                    np.ascontiguousarray(transformed.reshape(mode_count, -1).T),
-                    subst,
-                )
-            coeff[rows, cols] = transformed.reshape(-1)[flat] * weights
+        coeff = np.zeros(shape, dtype=complex)
+        for batches, sector_rows, sector_cols in blocks:
+            coeff[sector_rows, sector_cols] = _climb(subst, batches, rungs)
         singulars = np.linalg.svd(coeff, compute_uv=False)
         lam = singulars * singulars
         _require_unit_sum(lam)

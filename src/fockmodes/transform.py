@@ -7,7 +7,11 @@ by its expansion in the new ones,
     a†_j  ->  sum_k conj(U[k, j]) b†_k,
 
 and re-collects the resulting creation polynomial in the occupation basis.
-``apply_redefinition`` performs that multinomial expansion directly; the
+One engine does this for ``apply_redefinition`` and for the optimizer's
+objective: a photon-number ladder.  Substituting one more operator raises a
+vector over the occupations of s photons to s + 1 photons, and that step is
+a fixed gather whose index tables are built once per (mode count, s) and
+cached; the terms of a sector climb the ladder together in numpy.  The
 permanent-based ``fock_matrix_element`` gives the same amplitudes through an
 independent formula and is kept as a cross-check, not as the production path.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,11 @@ UNITARY_TOLERANCE = 1e-10
 EXP_MAP_TOLERANCE = 1e-12
 # Ryser's formula costs O(2^n * n); past this size it is not worth running.
 PERMANENT_MAX_DIM = 16
+# A rewrite of N photons in M modes climbs a ladder of C(N + M, M) rows,
+# one per occupation of at most N photons; larger ones are refused.
+LADDER_ROW_LIMIT = 300_000
+# Terms climb in batches whose intermediate arrays hold about this many entries.
+_BATCH_CELLS = 1 << 20
 
 
 class ModeUnitary:
@@ -255,39 +263,236 @@ def fock_matrix_element(unitary: ModeUnitary, m, n) -> complex:
     return permanent(sub) / math.sqrt(_factorial_product(m) * _factorial_product(n))
 
 
+def _binomials(rows: int, top: int) -> np.ndarray:
+    """binom[k, a] = C(k + a, a), the occupations of a photons in k + 1 modes,
+    for k < rows and a <= top."""
+    binom = np.ones((rows, top + 1), dtype=np.intp)
+    for k in range(1, rows):
+        np.cumsum(binom[k - 1], out=binom[k])
+    return binom
+
+
+class _Ladder:
+    """Gather tables that raise a vector over the occupations of s photons in
+    `mode_count` modes to s + 1 photons, grown on demand.
+
+    Sector s lists its occupations in colex order of their sorted mode
+    multisets: for each mode L in turn, the occupations of sector s-1
+    supported on modes <= L, with one more photon in L.  The index of an
+    occupation is then a sum over its runs of binom[k, filled] -
+    binom[k, filled before the run].
+
+    A vector on the ladder holds c(m) = psi(m) * sqrt(s! / prod_k m_k!)
+    for a state psi of s photons, so multiplying psi by sum_k f_k b†_k is a
+    gather-sum with no per-occupation factor: c'(m) = sqrt(s + 1) times the
+    sum, over the occupied modes k of m, of f_k c(m - e_k).  The rung into
+    sector s lists, occupation by occupation, the flat position
+    k * D_{s-1} + index(m - e_k) of each occupied mode k in the outer
+    product f ⊗ c (each position once), with the count m_k; `starts` marks
+    where each occupation's entries begin, and `norms` =
+    sqrt(prod_k m_k! / s!) turns c back into amplitudes.
+    """
+
+    def __init__(self, mode_count: int):
+        self.mode_count = mode_count
+        modes = np.arange(mode_count)
+        ones = np.ones(mode_count, dtype=np.intp)
+        first = (modes, modes, ones, ones.astype(float))
+        # The rungs so far and the occupied modes, counts and norms of the top
+        # sector, replaced together so a reader never sees one without the other.
+        self._grown = (first,), (modes[:, None], ones[:, None], first[3])
+
+    def rungs(self, top: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Rungs (gather, starts, counts, norms) into sectors 1..top;
+        SizeLimitError past LADDER_ROW_LIMIT."""
+        mode_count = self.mode_count
+        size = math.comb(top + mode_count, mode_count)
+        if size > LADDER_ROW_LIMIT:
+            raise SizeLimitError(
+                f"{top} photons in {mode_count} modes need {size} ladder rows, "
+                f"above the limit of {LADDER_ROW_LIMIT}"
+            )
+        rungs, (modes, counts, norms) = self._grown
+        if len(rungs) >= top:
+            return rungs[:top]
+        binom = _binomials(mode_count, top)
+        for total in range(len(rungs) + 1, top + 1):
+            grow = binom[:, total - 1]
+            added = np.repeat(np.arange(mode_count), grow)
+            parent = np.arange(added.size) - np.repeat(np.cumsum(grow) - grow, grow)
+            runs = (counts > 0).sum(axis=1)[parent]
+            width = modes.shape[1]
+            grown = np.zeros((2, added.size, min(total, mode_count)), dtype=np.intp)
+            grown[0, :, :width] = modes[parent]
+            grown[1, :, :width] = counts[parent]
+            modes, counts = grown
+            rows = np.arange(added.size)
+            same = modes[rows, runs - 1] == added
+            runs[~same] += 1
+            modes[rows, runs - 1] = added
+            counts[rows, runs - 1] += 1
+            norms = norms[parent] * np.sqrt(counts[rows, runs - 1] / total)
+            # Removing a photon of mode k shortens its run and shifts every
+            # later run down by one.
+            filled = np.cumsum(counts, axis=1)
+            before = filled - counts
+            own = binom[modes, filled] - binom[modes, before]
+            shifted = binom[modes, filled - 1] - binom[modes, np.maximum(before - 1, 0)]
+            lower = (
+                np.cumsum(own, axis=1) - own
+                + binom[modes, filled - 1] - binom[modes, before]
+                + np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1] - shifted
+            )
+            # Runs are packed to the left, so row-major order keeps each
+            # occupation's entries together.
+            occupied = counts > 0
+            gather = (modes * binom[-1, total - 1] + lower)[occupied]
+            starts = np.cumsum(runs) - runs
+            rungs += ((gather, starts, counts[occupied], norms),)
+        self._grown = rungs, (modes, counts, norms)
+        return rungs
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder(mode_count: int) -> _Ladder:
+    return _Ladder(mode_count)
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_occupations(mode_count: int, total: int) -> np.ndarray:
+    """Occupations of sector `total`, one row each, in ladder order."""
+    if total == 0:
+        return np.zeros((1, mode_count), dtype=np.intp)
+    gather, starts, counts, _ = _ladder(mode_count).rungs(total)[-1]
+    rows = np.repeat(np.arange(starts.size), np.diff(starts, append=gather.size))
+    lower_size = math.comb(total - 1 + mode_count - 1, total - 1)
+    occupations = np.zeros((starts.size, mode_count), dtype=np.intp)
+    occupations[rows, gather // lower_size] = counts
+    occupations.setflags(write=False)
+    return occupations
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
+    return tuple(map(tuple, _sector_occupations(mode_count, total).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_index(mode_count: int, total: int, modes: tuple[int, ...]) -> np.ndarray:
+    """For each occupation of sector `total`, in ladder order, the index of
+    its restriction to `modes` among all occupations of those modes, ordered
+    by photon number and then as on the ladder."""
+    counts = _sector_occupations(mode_count, total)[:, modes]
+    filled = np.cumsum(counts, axis=1)
+    width = len(modes)
+    binom = _binomials(width + 1, total)
+    runs = np.arange(width)
+    # binom[width, n] - binom[width - 1, n] = C(n - 1 + width, width) occupations
+    # hold fewer than n photons.
+    below = binom[width, filled[:, -1]] - binom[width - 1, filled[:, -1]]
+    index = below + (binom[runs, filled] - binom[runs, filled - counts]).sum(axis=1)
+    index.setflags(write=False)
+    return index
+
+
+def _sector_plans(state: PureState):
+    """The ladder rungs for `state` and, per populated sector in increasing
+    photon number, its terms in batches of (picks, start, gathers).
+
+    A term takes one step per photon, old modes in increasing order.  Row
+    step * T + i of `picks` selects, for term i of T, the old mode of that
+    step (one nonzero entry), so picks @ subst gives every step's factor
+    row at once.  The entry is sqrt(s + 1) / sqrt(c) for the step into
+    sector s + 1 that adds the c-th photon of its mode: the sqrt(s + 1) of
+    the ladder's scaling, and 1/sqrt(c) to keep every partial state a unit
+    vector.  The term's amplitude and its last step's entry ride on its
+    first pick.  `start` is the vector over the vacuum
+    sector: ones, or for the vacuum sector itself, which takes no step, its
+    amplitude.  The gathers are the middle steps' rung positions, offset to
+    each term's block of the (term, mode, occupation) outer product.
+    """
+    mode_count = state.mode_count
+    sectors: dict[int, list] = {}
+    for occ, amp in state.amplitudes.items():
+        sectors.setdefault(sum(occ), []).append((occ, amp))
+    rungs = _ladder(mode_count).rungs(max(sectors, default=0))
+    plans = []
+    for total in sorted(sectors):
+        terms = sectors[total]
+        amps = np.array([amp for _, amp in terms])
+        if total == 0:
+            plans.append((total, [(None, amps[:, None], [])]))
+            continue
+        shape = (len(terms), total)
+        steps = np.array(
+            [k for occ, _ in terms for k, c in enumerate(occ) for _ in range(c)]
+        ).reshape(shape)
+        scales = np.sqrt(np.arange(1, total + 1) / np.array(
+            [i for occ, _ in terms for c in occ for i in range(1, c + 1)]
+        ).reshape(shape)).astype(complex)
+        last = scales[:, -1].copy()
+        scales[:, -1] = 1.0
+        scales[:, 0] = amps * last
+        batch = max(1, _BATCH_CELLS // (total * rungs[total - 1][0].size))
+        batches = []
+        for first in range(0, len(terms), batch):
+            chosen = slice(first, first + batch)
+            count = len(terms[chosen])
+            picks = np.zeros((total, count, mode_count), dtype=complex)
+            picks[np.arange(total)[:, None], np.arange(count), steps[chosen].T] = scales[chosen].T
+            blocks = np.arange(count)[:, None]
+            gathers = [
+                rung[0] + blocks * (mode_count * below[1].size)
+                for below, rung in zip(rungs[: total - 2], rungs[1 : total - 1])
+            ]
+            batches.append((picks.reshape(-1, mode_count), np.ones((count, 1)), gathers))
+        plans.append((total, batches))
+    return rungs, plans
+
+
+def _climb(subst: np.ndarray, batches, rungs) -> np.ndarray:
+    """Amplitudes over one sector, in ladder order, of the sector's terms
+    with every old a†_j replaced by sum_k subst[j, k] b†_k."""
+    amplitudes = None
+    for picks, start, gathers in batches:
+        if picks is None:
+            part = start[:, 0]
+        else:
+            factors = np.dot(picks, subst).reshape(-1, len(start), len(subst))
+            total = len(factors)
+            # Sector 1 is in mode order, so the first step is the factor row.
+            climbed = factors[0] if total > 1 else start
+            for step, gather in enumerate(gathers, start=1):
+                outer = factors[step][:, :, None] * climbed[:, None, :]
+                climbed = np.add.reduceat(outer.ravel()[gather], rungs[step][1], axis=1)
+            # The last step sums the terms in one matrix product before its gather.
+            gather, starts, _, norms = rungs[total - 1]
+            folded = np.dot(factors[-1].T, climbed).ravel()[gather]
+            part = np.add.reduceat(folded, starts) * norms
+        amplitudes = part if amplitudes is None else amplitudes + part
+    return amplitudes
+
+
 def apply_redefinition(state: PureState, unitary: ModeUnitary) -> PureState:
     """Rewrite `state` in the mode basis defined by b†_k = sum_j U[k,j] a†_j.
 
-    Each occupation's creation monomial is expanded after substituting
-    a†_j -> sum_k conj(U[k,j]) b†_k, and like monomials are merged.  The
+    Every old creation operator is substituted, a†_j -> sum_k conj(U[k,j]) b†_k,
+    one photon at a time: each substitution raises a vector over the
+    occupations of s photons to s + 1 photons by a gather through the cached
+    ladder tables, and each populated sector's terms climb together.  The
     transform is passive: the total-photon-number distribution and the norm
-    are preserved exactly up to rounding.
+    are preserved exactly up to rounding.  A state whose largest sector of N
+    photons in M modes needs more than LADDER_ROW_LIMIT ladder rows,
+    C(N + M, M), raises SizeLimitError before any table is built.
     """
     if unitary.dim != state.mode_count:
         raise DimensionError(
             f"unitary dimension {unitary.dim} != state mode count {state.mode_count}"
         )
-    mode_count = state.mode_count
     subst = unitary.matrix.conj().T  # row j: expansion of old a†_j in new operators
-    rows = [
-        [(k, subst[j, k]) for k in range(mode_count) if subst[j, k] != 0]
-        for j in range(mode_count)
-    ]
-    vacuum = (0,) * mode_count
-    out: dict[Occupation, complex] = defaultdict(complex)
-    for occ, amp in state.amplitudes.items():
-        terms: dict[Occupation, complex] = {
-            vacuum: amp / math.sqrt(_factorial_product(occ))
-        }
-        for j, count in enumerate(occ):
-            row = rows[j]
-            for _ in range(count):
-                expanded: dict[Occupation, complex] = defaultdict(complex)
-                for mono, coeff in terms.items():
-                    for k, weight in row:
-                        key = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
-                        expanded[key] += coeff * weight
-                terms = expanded
-        for mono, coeff in terms.items():
-            out[mono] += coeff * math.sqrt(_factorial_product(mono))
-    return PureState(mode_count, out)
+    rungs, plans = _sector_plans(state)
+    out: dict[Occupation, complex] = {}
+    for total, batches in plans:
+        labels = _sector_labels(state.mode_count, total)
+        out.update(zip(labels, _climb(subst, batches, rungs).tolist()))
+    return PureState(state.mode_count, out)

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from fockmodes import (
+    ModeUnitary,
     OptConfig,
     Partition,
     optimize_entanglement,
@@ -142,6 +144,20 @@ def test_numerical_consistency_maps_to_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "schmidt_spectrum", broken)
     assert run_cli(["entropy", "|01>+|10>", "--partition", "0|1"]) == 4
     assert "forced" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transform", "optimize"])
+def test_oversized_state_is_size_limit_exit_5(command, capsys, tmp_path):
+    unitary = tmp_path / "identity3.json"
+    unitary.write_text(format_unitary_file(ModeUnitary.identity(3)))
+    options = {
+        "transform": ["--unitary", str(unitary)],
+        "optimize": ["--partition", "0|1,2", "--direction", "max"],
+    }[command]
+    start = time.perf_counter()
+    assert run_cli([command, "|1000,0,0>", *options]) == 5
+    assert time.perf_counter() - start < 1.0
+    assert "ladder rows" in capsys.readouterr().err
 
 
 def test_repeated_calls_match_fresh_parser(capsys):

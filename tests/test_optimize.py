@@ -10,8 +10,11 @@ from fockmodes import (
     OptConfig,
     Partition,
     PureState,
+    SizeLimitError,
     apply_redefinition,
+    enumerate_sector,
     exp_map,
+    fock_matrix_element,
     nelder_mead,
     optimize_entanglement,
     parse_state,
@@ -89,10 +92,13 @@ def _spread_state(mode_count):
         (_spread_state(40), "0|" + ",".join(map(str, range(1, 40)))),
         (parse_state("|00>"), "0|1"),
         (parse_state("|000> + |111>"), "0|1,2"),
+        (parse_state("|12,0,0>"), "0|1,2"),
+        (parse_state("|4,4,4>"), "1|0,2"),
+        (parse_state("|19,0>"), "0|1"),
     ],
     ids=[
         "noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40",
-        "vacuum", "vacuum-triple3",
+        "vacuum", "vacuum-triple3", "fock1200", "fock444", "fock190",
     ],
 )
 def test_dense_objective_matches_sparse_rewrite(state, cut):
@@ -105,6 +111,31 @@ def test_dense_objective_matches_sparse_rewrite(state, cut):
             apply_redefinition(state, exp_map(theta)), part
         ).entropy_bits
         assert objective(theta) == pytest.approx(direct, abs=1e-12)
+
+
+def test_objective_matches_state_built_from_permanent_oracle():
+    # The objective and apply_redefinition share the ladder engine; this
+    # reference rewrites |3,3,2> amplitude by amplitude through permanents.
+    source = (3, 3, 2)
+    part = Partition((0,), (1, 2))
+    objective = entropy_objective(parse_state("|3,3,2>"), part)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, 9)
+        unitary = exp_map(theta)
+        reference = PureState(3, {
+            target: fock_matrix_element(unitary, target, source)
+            for target in enumerate_sector(3, sum(source))
+        })
+        expected = schmidt_spectrum(reference, part).entropy_bits
+        assert objective(theta) == pytest.approx(expected, abs=1e-12)
+
+
+def test_objective_refuses_oversized_ladder_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="ladder rows"):
+        entropy_objective(parse_state("|1000,0,0>"), Partition((0,), (1, 2)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_objective_build_is_not_factorial_in_photons():

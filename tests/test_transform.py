@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +189,56 @@ def test_matrix_element_oracle_equivalence(rng):
                     expansion_amp = rewritten.amplitudes.get(target, 0j)
                     element = fock_matrix_element(unitary, target, source)
                     assert abs(element - expansion_amp) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "ket",
+    [
+        "|4,4,4>",
+        "|12,0,0>",
+        "|3,3,2>",
+        "|2,2,2,1>",
+        "|4,3,0,3> - 0.5i*|0,2,8,0>",
+        "|0000> + |1100> + 0.5*|0011> - |2000>",
+    ],
+    ids=["fock444", "fock1200", "fock332", "fock2221", "comma10", "vacuum-pairs4"],
+)
+def test_deep_ladder_amplitudes_match_permanent_oracle(ket):
+    # Up to twelve substitution steps per term, against the permanent formula.
+    state = parse_state(ket)
+    rng = np.random.default_rng(31)
+    sectors = {sum(occ) for occ in state.amplitudes}
+    targets = [occ for total in sorted(sectors)
+               for occ in enumerate_sector(state.mode_count, total)]
+    for _ in range(2):
+        unitary = random_unitary(rng, state.mode_count)
+        rewritten = apply_redefinition(state, unitary)
+        for index in rng.choice(len(targets), size=min(10, len(targets)), replace=False):
+            target = targets[index]
+            expected = sum(
+                amp * fock_matrix_element(unitary, target, occ)
+                for occ, amp in state.amplitudes.items()
+                if sum(occ) == sum(target)
+            )
+            assert abs(rewritten.amplitudes.get(target, 0j) - expected) < 1e-10
+
+
+def test_rewrite_in_batches_of_one_term_matches_one_batch(monkeypatch, rng):
+    # Many-term states climb in several batches; force that path here.
+    from fockmodes import transform
+
+    state = random_state(rng, 3, totals=(0, 2, 3))
+    unitary = random_unitary(rng, 3)
+    whole = apply_redefinition(state, unitary)
+    monkeypatch.setattr(transform, "_BATCH_CELLS", 1)
+    assert states_close(apply_redefinition(state, unitary), whole, 1e-12)
+
+
+def test_rewrite_refuses_oversized_ladder_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="ladder rows"):
+        apply_redefinition(parse_state("|1000,0,0>"), ModeUnitary.identity(3))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_matrix_element_dimension_mismatch():

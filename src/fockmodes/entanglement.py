@@ -7,6 +7,7 @@ the SVD conditions better when eigenvalues nearly coincide.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -84,8 +85,13 @@ class SchmidtSpectrum:
     numerical_rank: int
 
 
-def _restrict(occ: Occupation, side: tuple[int, ...]) -> Occupation:
-    return tuple(occ[i] for i in side)
+def _restrictions(state: PureState, side: tuple[int, ...]) -> list[Occupation]:
+    """Each occupation of the state, in dict order, restricted to `side`."""
+    pick = operator.itemgetter(*side)
+    if len(side) == 1:
+        # itemgetter of one index returns the count, not a 1-tuple.
+        return [(count,) for count in map(pick, state.amplitudes)]
+    return list(map(pick, state.amplitudes))
 
 
 def coefficient_matrix(
@@ -97,14 +103,17 @@ def coefficient_matrix(
     in canonical order; the Frobenius norm equals the state norm.
     """
     partition.ensure_covers(state.mode_count)
-    rows = sorted({_restrict(occ, partition.side_a) for occ in state.amplitudes}, reverse=True)
-    cols = sorted({_restrict(occ, partition.side_b) for occ in state.amplitudes}, reverse=True)
+    row_of = _restrictions(state, partition.side_a)
+    col_of = _restrictions(state, partition.side_b)
+    rows = sorted(set(row_of), reverse=True)
+    cols = sorted(set(col_of), reverse=True)
     row_index = {occ: r for r, occ in enumerate(rows)}
     col_index = {occ: c for c, occ in enumerate(cols)}
     matrix = np.zeros((len(rows), len(cols)), dtype=complex)
-    for occ, amp in state.amplitudes.items():
-        matrix[row_index[_restrict(occ, partition.side_a)],
-               col_index[_restrict(occ, partition.side_b)]] = amp
+    matrix[
+        list(map(row_index.__getitem__, row_of)),
+        list(map(col_index.__getitem__, col_of)),
+    ] = list(state.amplitudes.values())
     return matrix, rows, cols
 
 
@@ -131,9 +140,8 @@ def entropy_of_spectrum(lambdas: np.ndarray) -> float:
     """-sum lambda log2 lambda with the 0 log 0 := 0 convention."""
     lam = np.asarray(lambdas, dtype=float)
     lam = lam[lam > 0.0]
-    if lam.size == 0:
-        return 0.0
-    return float(-(lam * np.log2(lam)).sum())
+    # 0.0 - sum, not -sum: a pure state's sum is 0.0 and its entropy +0.0.
+    return 0.0 - float((lam * np.log2(lam)).sum())
 
 
 def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
@@ -196,9 +204,18 @@ def rank_bound(state: PureState, partition: Partition) -> int:
     if len(totals) == 1:
         total = totals.pop()
         a, b = len(partition.side_a), len(partition.side_b)
-        return sum(
-            min(sector_dimension(a, n), sector_dimension(b, total - n))
-            for n in range(total + 1)
-        )
-    matrix, rows, cols = coefficient_matrix(state, partition)
-    return min(len(rows), len(cols))
+        # dim(|A|, n) grows and dim(|B|, total - n) shrinks with n, so the min
+        # is the side-A term up to the last n where it is the smaller, k, and
+        # the side-B term after; each part sums to one binomial.
+        low, high = 0, total
+        while low < high:
+            mid = (low + high + 1) // 2
+            if sector_dimension(a, mid) <= sector_dimension(b, total - mid):
+                low = mid
+            else:
+                high = mid - 1
+        return math.comb(low + a, a) + math.comb(total - low - 1 + b, b)
+    return min(
+        len(set(_restrictions(state, partition.side_a))),
+        len(set(_restrictions(state, partition.side_b))),
+    )

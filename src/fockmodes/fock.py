@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import DegenerateStateError, DimensionError, NotNormalizedError
 
@@ -58,6 +58,29 @@ class PureState:
                 kept[counts] = value
         self.mode_count = mode_count
         self.amplitudes = kept
+
+    @classmethod
+    def _of_checked(
+        cls,
+        mode_count: int,
+        occupations: Iterable[Occupation],
+        amplitudes: Iterable[complex],
+    ) -> PureState:
+        """State built by the library, whose occupations need no check.
+
+        `occupations` must be keys of a PureState of `mode_count` modes or
+        labels of the ladder's sectors, paired in order with Python complex
+        `amplitudes`.  Amplitudes below PRUNE_THRESHOLD are dropped, as in
+        the public constructor.
+        """
+        state = cls.__new__(cls)
+        state.mode_count = mode_count
+        state.amplitudes = {
+            occ: amp
+            for occ, amp in zip(occupations, amplitudes)
+            if abs(amp) >= PRUNE_THRESHOLD
+        }
+        return state
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -125,8 +148,10 @@ def normalize(state: PureState) -> PureState:
     nrm = state.norm()
     if nrm < PRUNE_THRESHOLD:
         raise DegenerateStateError("cannot normalize a state with zero norm")
-    return PureState(
-        state.mode_count, {occ: amp / nrm for occ, amp in state.amplitudes.items()}
+    return PureState._of_checked(
+        state.mode_count,
+        state.amplitudes,
+        [amp / nrm for amp in state.amplitudes.values()],
     )
 
 
@@ -158,9 +183,11 @@ def canonicalize_phase(state: PureState) -> PureState:
     """Multiply by a global phase so the first canonical amplitude is real-positive."""
     if not state.amplitudes:
         return state
-    lead = state.amplitudes[state.support()[0]]
+    lead = state.amplitudes[max(state.amplitudes)]
     phase = lead / abs(lead)
     factor = phase.conjugate()
-    return PureState(
-        state.mode_count, {occ: amp * factor for occ, amp in state.amplitudes.items()}
+    return PureState._of_checked(
+        state.mode_count,
+        state.amplitudes,
+        [amp * factor for amp in state.amplitudes.values()],
     )

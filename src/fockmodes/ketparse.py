@@ -256,10 +256,6 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
     return normalize(state)
 
 
-def _format_real(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
 def format_state(state: PureState, precision: int = 7) -> str:
     """Render a normalized state in canonical order.
 
@@ -270,31 +266,26 @@ def format_state(state: PureState, precision: int = 7) -> str:
     require_normalized(state)
     canon = canonicalize_phase(state)
     eps = 0.5 * 10.0 ** (-precision)
-    comma_form = any(c > 9 for occ in canon.amplitudes for c in occ)
-
-    def render_ket(occ: Occupation) -> str:
-        if comma_form:
-            return "|" + ",".join(map(str, occ)) + ">"
-        return "|" + "".join(map(str, occ)) + ">"
+    spec = f".{precision}f"
+    support = canon.support()
+    # Counts above 9 need the comma form of a ket.
+    separator = "," if max(map(max, support)) > 9 else ""
 
     pieces: list[str] = []
-    for occ in canon.support():
+    for occ in support:
         amp = canon.amplitudes[occ]
-        ket = render_ket(occ)
+        ket = f"|{separator.join(map(str, occ))}>"
         if abs(amp.imag) < eps:
             magnitude = abs(amp.real)
             joiner = "+" if amp.real >= 0 else "-"
             if abs(magnitude - 1.0) < eps:
                 body = ket
             else:
-                body = f"{_format_real(magnitude, precision)}*{ket}"
+                body = f"{magnitude:{spec}}*{ket}"
         else:
             joiner = "+"
             im_sign = "+" if amp.imag >= 0 else "-"
-            body = (
-                f"({_format_real(amp.real, precision)}{im_sign}"
-                f"{_format_real(abs(amp.imag), precision)}i)*{ket}"
-            )
+            body = f"({amp.real:{spec}}{im_sign}{abs(amp.imag):{spec}}i)*{ket}"
         if not pieces:
             pieces.append(body if joiner == "+" else f"-{body}")
         else:

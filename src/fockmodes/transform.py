@@ -19,6 +19,7 @@ independent formula and is kept as a cross-check, not as the production path.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -491,8 +492,9 @@ def apply_redefinition(state: PureState, unitary: ModeUnitary) -> PureState:
         )
     subst = unitary.matrix.conj().T  # row j: expansion of old a†_j in new operators
     rungs, plans = _sector_plans(state)
-    out: dict[Occupation, complex] = {}
-    for total, batches in plans:
-        labels = _sector_labels(state.mode_count, total)
-        out.update(zip(labels, _climb(subst, batches, rungs).tolist()))
-    return PureState(state.mode_count, out)
+    chain = itertools.chain.from_iterable
+    return PureState._of_checked(
+        state.mode_count,
+        chain(_sector_labels(state.mode_count, total) for total, _ in plans),
+        chain(_climb(subst, batches, rungs).tolist() for _, batches in plans),
+    )

@@ -102,6 +102,20 @@ def test_rank_bound_command(capsys):
     assert doc["rank_bound"] == 3
 
 
+def test_rank_bound_of_ten_million_photons_is_quick(capsys):
+    start = time.perf_counter()
+    code = run_cli(["rank-bound", "|10000000,0>", "--partition", "0|1", "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rank_bound"] == 10_000_001
+
+
+def test_entropy_of_product_state_is_positive_zero(capsys):
+    code = run_cli(["entropy", "|10>", "--partition", "0|1", "--json"])
+    assert code == 0
+    assert '"entropy_bits": 0.0,' in capsys.readouterr().out
+
+
 def test_missing_partition_is_usage_error(capsys):
     assert run_cli(["entropy", "|01>"]) == 2
     capsys.readouterr()

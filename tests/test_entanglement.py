@@ -10,6 +10,7 @@ from fockmodes import (
     apply_redefinition,
     basis_state,
     coefficient_matrix,
+    entropy_of_spectrum,
     parse_state,
     rank_bound,
     reduced_density_matrix,
@@ -68,6 +69,45 @@ def test_coefficient_matrix_crossed_pairs():
     assert np.linalg.norm(matrix) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "mode_count, totals, partition",
+    [
+        (2, (1, 2), Partition((0,), (1,))),
+        (3, (2,), Partition((1,), (2, 0))),
+        (4, (0, 2, 3), Partition((2, 0), (1, 3))),
+        (4, (3,), Partition((3, 1, 2), (0,))),
+        (5, (1, 2), Partition((4, 0), (3, 1, 2))),
+    ],
+)
+def test_coefficient_matrix_matches_per_occupation_restriction(
+    rng, mode_count, totals, partition
+):
+    def restrict(occ, side):
+        return tuple(occ[i] for i in side)
+
+    for _ in range(5):
+        state = random_state(rng, mode_count, totals)
+        # Drop some occupations so rows and columns are a strict subset.
+        kept = {
+            occ: amp for occ, amp in state.amplitudes.items() if rng.random() < 0.7
+        }
+        state = PureState(mode_count, kept)
+        matrix, rows, cols = coefficient_matrix(state, partition)
+        assert rows == sorted(
+            {restrict(occ, partition.side_a) for occ in kept}, reverse=True
+        )
+        assert cols == sorted(
+            {restrict(occ, partition.side_b) for occ in kept}, reverse=True
+        )
+        expected = np.zeros((len(rows), len(cols)), dtype=complex)
+        for occ, amp in kept.items():
+            expected[
+                rows.index(restrict(occ, partition.side_a)),
+                cols.index(restrict(occ, partition.side_b)),
+            ] = amp
+        np.testing.assert_array_equal(matrix, expected)
+
+
 def test_coefficient_matrix_partition_mismatch():
     with pytest.raises(PartitionError):
         coefficient_matrix(basis_state((1, 1)), Partition((0,), (2,)))
@@ -88,6 +128,12 @@ def test_schmidt_spectrum_examples():
     )
     np.testing.assert_allclose(spectrum.lambdas, [1 / 3] * 3, atol=1e-12)
     assert spectrum.entropy_bits == pytest.approx(math.log2(3), abs=1e-12)
+
+
+def test_entropy_of_pure_state_is_positive_zero():
+    assert math.copysign(1.0, entropy_of_spectrum(np.array([1.0]))) == 1.0
+    spectrum = schmidt_spectrum(basis_state((1, 0)), Partition((0,), (1,)))
+    assert math.copysign(1.0, spectrum.entropy_bits) == 1.0
 
 
 def test_schmidt_spectrum_vacuum_pair_mix():
@@ -178,6 +224,19 @@ def test_rank_bound_examples():
         rank_bound(parse_state("|0220> + |2002> - |1111>"), Partition((0, 1), (2, 3)))
         == 9
     )
+
+
+def test_rank_bound_matches_sum_over_sectors():
+    for a in range(1, 8):
+        for b in range(1, 8):
+            cut = Partition(tuple(range(a)), tuple(range(a, a + b)))
+            for total in range(40):
+                expected = sum(
+                    min(math.comb(n + a - 1, a - 1), math.comb(total - n + b - 1, b - 1))
+                    for n in range(total + 1)
+                )
+                state = basis_state((total,) + (0,) * (a + b - 1))
+                assert rank_bound(state, cut) == expected, (a, b, total)
 
 
 def test_rank_bound_mixed_totals_falls_back_to_support():

@@ -9,7 +9,9 @@ from fockmodes import (
     DegenerateStateError,
     DimensionError,
     PureState,
+    apply_redefinition,
     basis_state,
+    beam_splitter,
     canonicalize_phase,
     enumerate_sector,
     inner_product,
@@ -17,8 +19,9 @@ from fockmodes import (
     parse_state,
     sector_weights,
 )
+from fockmodes import fock
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 
 
 def test_enumerate_sector_examples():
@@ -133,3 +136,29 @@ def test_canonicalize_phase_makes_lead_real_positive():
     assert lead.imag == pytest.approx(0.0, abs=1e-15)
     assert lead.real > 0
     assert abs(canon.amplitudes[(0, 2)]) == pytest.approx(0.8)
+
+
+def test_library_built_states_skip_the_occupation_check(monkeypatch, rng):
+    state = random_state(rng, 4, totals=(0, 2, 3))
+    unitary = random_unitary(rng, 4)
+    calls = []
+    check = fock._as_occupation
+
+    def counted(occ, mode_count):
+        calls.append(occ)
+        return check(occ, mode_count)
+
+    monkeypatch.setattr(fock, "_as_occupation", counted)
+    rewritten = apply_redefinition(state, unitary)
+    normalize(rewritten)
+    canonicalize_phase(rewritten)
+    assert calls == []
+    PureState(2, {(1, 0): 1.0})
+    assert calls == [(1, 0)]
+
+
+def test_hong_ou_mandel_rewrite_prunes_the_coincidence():
+    rewritten = apply_redefinition(
+        parse_state("|11>"), beam_splitter(2, 0, 1, math.pi / 4)
+    )
+    assert set(rewritten.amplitudes) == {(2, 0), (0, 2)}

@@ -135,6 +135,34 @@ def test_format_negative_and_complex_amplitudes():
     assert "i)*|02>" in rendered
 
 
+@pytest.mark.parametrize(
+    "text, precision, rendered",
+    [
+        (
+            "|10,2> - 0.5i*|0,12> + 0.25*|6,6>",
+            7,
+            "0.8728716*|10,2> + 0.2182179*|6,6> + (0.0000000-0.4364358i)*|0,12>",
+        ),
+        ("-i*|021>", 7, "|021>"),
+        ("|3,0,10>", 7, "|3,0,10>"),
+        (
+            "|20> + sqrt(2)*|11> - i*|02>",
+            15,
+            "0.500000000000000*|20> + 0.707106781186548*|11>"
+            " + (0.000000000000000-0.500000000000000i)*|02>",
+        ),
+        (
+            "(1+2i)*|101> - 0.3*|011> + 1e-9*|110>",
+            15,
+            "0.000000000443242*|110> + (0.443242207177936+0.886484414355873i)*|101>"
+            " - 0.132972662153381*|011>",
+        ),
+    ],
+)
+def test_format_exact_strings(text, precision, rendered):
+    assert format_state(parse_state(text), precision=precision) == rendered
+
+
 def test_format_round_trip_on_random_states(rng):
     for _ in range(100):
         mode_count = int(rng.integers(1, 5))

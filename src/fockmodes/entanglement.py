@@ -191,19 +191,21 @@ def reduced_density_matrix(
 def rank_bound(state: PureState, partition: Partition) -> int:
     """A priori cap on the Schmidt rank across the partition.
 
-    For a state with definite total photon number N the bound counts the
-    per-sector dimensions, sum over n of min(dim(|A|, n), dim(|B|, N - n)),
-    and holds for every unitary mode redefinition of the state.  For mixed
-    totals it falls back to the support shape min(#rows, #cols), which only
-    bounds the state as given.
+    A redefinition keeps each total photon number N, so the rewritten state
+    has nonzero Schmidt-matrix blocks only where n photons on side A meet
+    N - n on side B.  Summed over the state's totals, each total contributes
+    B(N) = sum over n of min(dim(|A|, n), dim(|B|, N - n)); and neither side
+    has more occupations with at most N_max photons than C(N_max + |side|,
+    |side|).  The bound is the least of the three, holds for every unitary
+    mode redefinition of the state, and for one total equals B(N).
     """
     partition.ensure_covers(state.mode_count)
     totals = {sum(occ) for occ in state.amplitudes}
     if not totals:
         return 0
-    if len(totals) == 1:
-        total = totals.pop()
-        a, b = len(partition.side_a), len(partition.side_b)
+    a, b = len(partition.side_a), len(partition.side_b)
+
+    def sector_bound(total: int) -> int:
         # dim(|A|, n) grows and dim(|B|, total - n) shrinks with n, so the min
         # is the side-A term up to the last n where it is the smaller, k, and
         # the side-B term after; each part sums to one binomial.
@@ -215,7 +217,8 @@ def rank_bound(state: PureState, partition: Partition) -> int:
             else:
                 high = mid - 1
         return math.comb(low + a, a) + math.comb(total - low - 1 + b, b)
+
+    top = max(totals)
     return min(
-        len(set(_restrictions(state, partition.side_a))),
-        len(set(_restrictions(state, partition.side_b))),
+        sum(map(sector_bound, totals)), math.comb(top + a, a), math.comb(top + b, b)
     )

@@ -1,15 +1,17 @@
 """Extremize entanglement entropy over all unitary mode redefinitions.
 
 The unitary group is parameterized by U = exp(iH) over R^{M^2}, which is
-surjective and unconstrained, and the search uses derivative-free
-Nelder-Mead descent with seeded random restarts.  Restart 0 always starts
-at the identity, so the input state's own entropy is a structural lower
-(upper) bound on the reported maximum (minimum).
+surjective and unconstrained, and the search is limited-memory BFGS on a
+forward-difference gradient with seeded random restarts.  Restart 0 always
+starts at the identity and every accepted step descends, so the input
+state's own entropy is a structural lower (upper) bound on the reported
+maximum (minimum).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,8 +32,8 @@ from .transform import (
     hermitian_from_params,
 )
 
-# The optimizer is meant for desk-scale problems; M^2 parameters beyond this
-# would make Nelder-Mead pointless anyway.
+# The optimizer is meant for desk-scale problems; each forward-difference
+# gradient costs M^2 objective evaluations, so the parameter count is capped.
 _MAX_PARAMETERS = 144
 
 
@@ -43,8 +45,6 @@ class OptConfig:
     restarts: int = 24
     seed: int = 0
     max_iterations: int = 4000
-    simplex_tolerance: float = 1e-10
-    step_scale: float = 0.3
 
     def __post_init__(self):
         if self.direction not in ("min", "max"):
@@ -55,8 +55,6 @@ class OptConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.simplex_tolerance > 0 and self.step_scale > 0):
-            raise ValueError("tolerances and step scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,28 +71,27 @@ class OptResult:
     converged: bool
 
 
-# When the vertex-value spread collapses, the apparent optimum is checked by
-# perturbing the best vertex this far along each coordinate before stopping;
-# a transient tie (simplex straddling the optimum) otherwise halts the search.
-_PROBE_STEP = 1e-3
+# L-BFGS settings: curvature pairs kept, forward-difference step, Armijo
+# sufficient-decrease constant, smallest backtracked step, and the stop on
+# relative decrease, which also bounds the rounding noise in a difference.
+_HISTORY = 8
+_FD_STEP = 1e-8
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
+_REL_DECREASE = 1e-15
 
 
-def _nelder_mead(
-    func: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-    step_scale: float,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
+def _lbfgs(
+    func: Callable[[np.ndarray], float], x0: np.ndarray, max_iterations: int
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Standard reflect/expand/contract/shrink simplex minimization.
+    """Minimize `func` from `x0` by limited-memory BFGS (Nocedal 1980).
 
-    Coefficients 1, 2, 0.5, 0.5; stops when the spread of vertex values
-    falls below `tolerance` (verified by coordinate perturbations) or after
-    `max_iterations` iterations.
+    The direction comes from the two-loop recursion over the last _HISTORY
+    curvature pairs, the step from Armijo backtracking that halves down to
+    _MIN_STEP.  Every accepted step decreases `func`, so the returned value
+    is at most func(x0).  Returns (x, func(x), evaluations, converged);
+    converged is False only when `max_iterations` ran out.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    dim = x0.size
     evals = 0
 
     def feval(x: np.ndarray) -> float:
@@ -107,86 +104,55 @@ def _nelder_mead(
             )
         return value
 
-    def build_simplex(center: np.ndarray, step: float):
-        pts = np.tile(center, (dim + 1, 1))
-        for i in range(dim):
-            pts[i + 1, i] += step
-        vals = np.array([feval(p) for p in pts])
-        return pts, vals
+    def gradient(x: np.ndarray, fx: float) -> np.ndarray:
+        """Forward differences of `func` at x, where it takes the value fx."""
+        grad = np.empty_like(x)
+        for i in range(x.size):
+            shifted = x.copy()
+            shifted[i] += _FD_STEP
+            grad[i] = (feval(shifted) - fx) / _FD_STEP
+        return grad
 
-    points, values = build_simplex(x0, step_scale)
-
-    converged = False
-    for iteration in range(max_iterations):
-        order = np.argsort(values, kind="stable")
-        points = points[order]
-        values = values[order]
-        if values[-1] - values[0] < tolerance:
-            improved = None
-            for i in range(dim):
-                for sign in (1.0, -1.0):
-                    probe = points[0].copy()
-                    probe[i] += sign * _PROBE_STEP
-                    if feval(probe) < values[0] - tolerance:
-                        improved = probe
-                        break
-                if improved is not None:
-                    break
-            if improved is None:
-                converged = True
-                break
-            points, values = build_simplex(improved, _PROBE_STEP)
-            continue
-
-        centroid = points[:-1].mean(axis=0)
-        reflected = centroid + (centroid - points[-1])
-        f_reflected = feval(reflected)
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - points[-1])
-            f_expanded = feval(expanded)
-            if f_expanded < f_reflected:
-                points[-1], values[-1] = expanded, f_expanded
-            else:
-                points[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            points[-1], values[-1] = reflected, f_reflected
+    x = np.array(x0, dtype=float).ravel()
+    f = feval(x)
+    g = gradient(x, f)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_HISTORY)
+    for _ in range(max_iterations):
+        # Differences within rounding of f carry no slope: a stationary start
+        # is returned unchanged.
+        if np.abs(g).max() * _FD_STEP <= _REL_DECREASE * max(abs(f), 1.0):
+            return x, f, evals, True
+        direction = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alpha = rho * (s @ direction)
+            direction = direction - alpha * y
+            alphas.append(alpha)
+        if pairs:
+            s, y, _ = pairs[-1]
+            direction = direction * ((s @ y) / (y @ y))
         else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (points[-1] - centroid)
-            f_contracted = feval(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                points[-1], values[-1] = contracted, f_contracted
-            else:
-                # Shrink every vertex toward the current best.
-                for i in range(1, dim + 1):
-                    points[i] = points[0] + 0.5 * (points[i] - points[0])
-                    values[i] = feval(points[i])
-        if callback is not None:
-            best = int(np.argmin(values))
-            callback(iteration, points[best], float(values[best]))
-
-    order = np.argsort(values, kind="stable")
-    return points[order[0]].copy(), float(values[order[0]]), evals, converged
-
-
-def nelder_mead(
-    func: Callable[[np.ndarray], float],
-    x0,
-    cfg: OptConfig,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Minimize `func` from `x0`; returns the best vertex and its value."""
-    best_x, best_f, _, _ = _nelder_mead(
-        func,
-        np.asarray(x0, dtype=float),
-        max_iterations=cfg.max_iterations,
-        tolerance=cfg.simplex_tolerance,
-        step_scale=cfg.step_scale,
-        callback=callback,
-    )
-    return best_x, best_f
+            direction = direction / max(float(np.linalg.norm(g)), 1.0)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction = direction + s * (alpha - rho * (y @ direction))
+        slope = float(g @ direction)
+        step = 1.0
+        x_new = x + direction
+        f_new = feval(x_new)
+        while f_new > f + _ARMIJO * step * slope:
+            step *= 0.5
+            if step < _MIN_STEP:
+                return x, f, evals, True
+            x_new = x + step * direction
+            f_new = feval(x_new)
+        if f - f_new <= _REL_DECREASE * max(abs(f), abs(f_new), 1.0):
+            return x_new, f_new, evals, True
+        g_new = gradient(x_new, f_new)
+        s, y = x_new - x, g_new - g
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, f, g = x_new, f_new, g_new
+    return x, f, evals, False
 
 
 def entropy_objective(
@@ -241,7 +207,8 @@ def entropy_objective(
         lam = singulars * singulars
         _require_unit_sum(lam)
         lam = lam[lam > 0.0]
-        return float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0
+        # Rounding can make the sum a hair positive; an entropy is never below +0.0.
+        return max(0.0, -float((lam * np.log2(lam)).sum()))
 
     return objective
 
@@ -253,7 +220,7 @@ def optimize_entanglement(
 
     Restart 0 starts at the identity; restarts 1.. start at seeded uniform
     points in [-pi, pi]^{M^2}.  Results are deterministic for a fixed
-    (seed, restarts, tolerances) and independent of restart execution order
+    (seed, restarts, max_iterations) and independent of restart execution order
     (ties break toward the lowest restart index).
     """
     require_normalized(state)
@@ -280,13 +247,7 @@ def optimize_entanglement(
     best_theta: np.ndarray | None = None
     best_converged = False
     for theta0 in starts:
-        theta, f_best, evals, converged = _nelder_mead(
-            objective,
-            theta0,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.simplex_tolerance,
-            step_scale=cfg.step_scale,
-        )
+        theta, f_best, evals, converged = _lbfgs(objective, theta0, cfg.max_iterations)
         value = f_best if minimizing else -f_best
         per_restart.append(value)
         evaluations += evals

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -114,6 +115,14 @@ def test_entropy_of_product_state_is_positive_zero(capsys):
     code = run_cli(["entropy", "|10>", "--partition", "0|1", "--json"])
     assert code == 0
     assert '"entropy_bits": 0.0,' in capsys.readouterr().out
+
+
+def test_optimize_of_product_state_never_reports_negative_entropy(capsys):
+    argv = ["optimize", "|10>", "--partition", "0|1", "--direction", "min", "--json"]
+    assert run_cli(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for value in [doc["entropy_bits"], doc["best"], *doc["restart_values"]]:
+        assert math.copysign(1.0, value) == 1.0, value
 
 
 def test_missing_partition_is_usage_error(capsys):

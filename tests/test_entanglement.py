@@ -11,6 +11,8 @@ from fockmodes import (
     basis_state,
     coefficient_matrix,
     entropy_of_spectrum,
+    enumerate_sector,
+    normalize,
     parse_state,
     rank_bound,
     reduced_density_matrix,
@@ -240,8 +242,34 @@ def test_rank_bound_matches_sum_over_sectors():
 
 
 def test_rank_bound_mixed_totals_falls_back_to_support():
+    # |00>+|11> mixes to rank 3 (vacuum plus the two-photon sectors), so the
+    # support shape, 2, is not a bound under redefinitions.
     state = parse_state("|00> + |11>")
-    assert rank_bound(state, Partition((0,), (1,))) == 2
+    assert rank_bound(state, Partition((0,), (1,))) == 3
+
+
+def test_rank_bound_holds_for_mixed_totals_under_redefinitions():
+    rng = np.random.default_rng(4)
+    met = 0
+    for _ in range(300):
+        mode_count = int(rng.integers(2, 5))
+        split = int(rng.integers(1, mode_count))
+        part = Partition(tuple(range(split)), tuple(range(split, mode_count)))
+        amplitudes = {}
+        for total in rng.choice(4, size=2, replace=False):
+            sector = enumerate_sector(mode_count, int(total))
+            terms = min(int(rng.integers(1, 3)), len(sector))
+            for pick in rng.choice(len(sector), size=terms, replace=False):
+                amplitudes[sector[pick]] = complex(rng.normal(), rng.normal())
+        state = normalize(PureState(mode_count, amplitudes))
+        bound = rank_bound(state, part)
+        rank = schmidt_spectrum(
+            apply_redefinition(state, random_unitary(rng, mode_count)), part
+        ).numerical_rank
+        assert rank <= bound
+        met += rank == bound
+    # The bound is tight for most generic rewrites, not merely valid.
+    assert met >= 200
 
 
 def test_rank_cap_and_entropy_cap_hold_under_redefinitions(rng):

@@ -15,47 +15,47 @@ from fockmodes import (
     enumerate_sector,
     exp_map,
     fock_matrix_element,
-    nelder_mead,
     optimize_entanglement,
     parse_state,
     schmidt_spectrum,
 )
-from fockmodes.optimize import entropy_objective
+from fockmodes.optimize import _lbfgs, entropy_objective
 from fockmodes.suite import two_photon_pair, vacuum_plus_pair
 
 from conftest import random_state
 
 
-SMALL = OptConfig("min", restarts=2, max_iterations=400)
-
-
-def test_nelder_mead_convex_quadratic():
-    x, fval = nelder_mead(lambda x: float(np.dot(x, x)), [1.0, 1.0], SMALL)
+def test_lbfgs_convex_quadratic():
+    x, fval, _, _ = _lbfgs(lambda x: float(np.dot(x, x)), [1.0, 1.0], 400)
     assert fval < 1e-8
 
 
-def test_nelder_mead_shifted_quadratic():
-    x, fval = nelder_mead(lambda x: (x[0] - 3.0) ** 2, [0.0], SMALL)
+def test_lbfgs_shifted_quadratic():
+    x, fval, _, _ = _lbfgs(lambda x: (x[0] - 3.0) ** 2, [0.0], 400)
     assert x[0] == pytest.approx(3.0, abs=1e-4)
 
 
-def test_nelder_mead_rejects_non_finite():
+def test_lbfgs_rejects_non_finite():
     with pytest.raises(NumericalConsistencyError):
-        nelder_mead(lambda x: float("nan"), [0.0, 0.0], SMALL)
+        _lbfgs(lambda x: float("nan"), [0.0, 0.0], 400)
 
 
-def test_nelder_mead_best_vertex_trace_is_monotone():
+def test_lbfgs_descends_and_returns_the_value_at_its_point():
     objective = entropy_objective(two_photon_pair(), Partition((0,), (1,)))
-    rng = np.random.default_rng(7)
-    trace = []
-    nelder_mead(
-        objective,
-        rng.uniform(-np.pi, np.pi, 4),
-        OptConfig("min", max_iterations=600),
-        callback=lambda it, x, f: trace.append(f),
-    )
-    assert len(trace) > 10
-    assert all(later <= earlier + 1e-15 for earlier, later in zip(trace, trace[1:]))
+    start = np.random.default_rng(7).uniform(-np.pi, np.pi, 4)
+    x, fval, evals, _ = _lbfgs(objective, start, 600)
+    assert evals > 10
+    assert fval <= objective(start)
+    assert fval == objective(x)
+
+
+def test_lbfgs_stops_at_a_stationary_start():
+    # The identity is stationary for |00>+|11>, so restart 0 of the maximum
+    # reads the input entropy.
+    state = vacuum_plus_pair()
+    part = Partition((0,), (1,))
+    result = optimize_entanglement(state, part, OptConfig("max", restarts=1))
+    assert result.per_restart_values == (schmidt_spectrum(state, part).entropy_bits,)
 
 
 def test_objective_matches_library_entropy(rng):

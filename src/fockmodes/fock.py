@@ -144,8 +144,24 @@ def require_normalized(state: PureState) -> None:
 
 
 def normalize(state: PureState) -> PureState:
-    """Rescale by a positive real so the result has unit norm."""
-    nrm = state.norm()
+    """Rescale by a positive real so the result has unit norm.
+
+    When the squared norm overflows a float, the amplitudes are first
+    divided by a power of two, which is exact.
+    """
+    try:
+        nrm = state.norm()
+    except OverflowError:  # some |amp|^2 is past the float range
+        nrm = math.inf
+    if nrm == math.inf:
+        peak = max(map(abs, state.amplitudes.values()))
+        shift = math.ldexp(1.0, -math.frexp(peak)[1])
+        state = PureState._of_checked(
+            state.mode_count,
+            state.amplitudes,
+            [amp * shift for amp in state.amplitudes.values()],
+        )
+        nrm = state.norm()
     if nrm < PRUNE_THRESHOLD:
         raise DegenerateStateError("cannot normalize a state with zero norm")
     return PureState._of_checked(

@@ -12,13 +12,14 @@ positions into the input)::
               and parentheses; a decimal literal immediately followed by
               'i' (as in '0.5i') is an imaginary literal.
 
-Like kets merge by summing coefficients.  The result is normalized unless
-``raw=True``.
+Like kets merge by summing coefficients, and a merged coefficient must have
+a finite modulus.  The result is normalized unless ``raw=True``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -247,7 +248,9 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
             raise KetParseError(
                 f"ket has {len(occ)} modes but earlier kets have {mode_count}", pos
             )
-        merged[occ] = merged.get(occ, 0j) + coeff
+        value = merged[occ] = merged.get(occ, 0j) + coeff
+        if not math.isfinite(math.hypot(value.real, value.imag)):
+            raise KetParseError("coefficient is not a number or too large", pos)
     state = PureState(mode_count, merged)
     if not state.amplitudes:
         raise KetParseError("state is zero after merging like terms", first_pos)

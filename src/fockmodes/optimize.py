@@ -10,6 +10,7 @@ maximum (minimum).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -18,13 +19,14 @@ from typing import Callable
 import numpy as np
 
 from .entanglement import Partition, SchmidtSpectrum, _require_unit_sum, schmidt_spectrum
-from .errors import DimensionError, NumericalConsistencyError
+from .errors import DegenerateStateError, DimensionError, NumericalConsistencyError
 from .fock import PureState, require_normalized
 from .transform import (
     HermitianParams,
     ModeUnitary,
     _climb,
     _sector_index,
+    _sector_occupations,
     _sector_plans,
     apply_redefinition,
     exp_i_hermitian,
@@ -155,6 +157,85 @@ def _lbfgs(
     return x, f, evals, False
 
 
+@functools.lru_cache(maxsize=64)
+def _block_layout(
+    mode_count: int, totals: tuple[int, ...], partition: Partition
+) -> tuple[np.ndarray, int, np.ndarray, tuple[int, int, int]]:
+    """Where each occupation of the sectors `totals`, in ladder order and
+    sector after sector, lands among the blocks of the Schmidt matrix.
+
+    A redefinition keeps every total N, so a cell can be nonzero only where
+    n photons on side A meet N - n on side B.  Joining side-A photon number n
+    to side-B photon number N - n for every N in `totals`, each connected
+    component is one block: its rows are the side-A occupations of its
+    side-A photon numbers, its columns the side-B occupations of its side-B
+    ones.  A block with one row or one column has one Schmidt coefficient,
+    the squared norm of its entries; the others are turned to have no more
+    rows than columns and zero-padded into one stack.
+
+    Returns (bins, thin_count, cells, shape).  Amplitudes viewed as pairs of
+    floats, bins[2i] and bins[2i + 1] are the coefficient of occupation i's
+    block among thin_count, or the spare bin thin_count for a thick block;
+    cells[i] is its flat cell in a (K, r, c) stack of the thick blocks, or
+    the spare cell past the stack's end for a thin one.  Raises
+    PartitionError unless the partition covers the modes.
+    """
+    partition.ensure_covers(mode_count)
+    top = max(totals)
+    # Union-find over photon numbers: side A's n is node n, side B's is top + 1 + n.
+    root = list(range(2 * top + 2))
+
+    def find(node: int) -> int:
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    for total in totals:
+        for n in range(total + 1):
+            root[find(n)] = find(top + 1 + total - n)
+    # Every edge has a side-A end, so numbering the side-A nodes' roots
+    # numbers every block.
+    block_of: dict[int, int] = {}
+    block_a = np.array(
+        [block_of.setdefault(find(n), len(block_of)) for n in range(top + 1)]
+    )
+
+    places = []
+    for total in totals:
+        occupations = _sector_occupations(mode_count, total)
+        counts = occupations[:, list(partition.side_a)].sum(axis=1)
+        places.append(np.stack([block_a[counts]] + [
+            _sector_index(mode_count, total, side)
+            for side in (partition.side_a, partition.side_b)
+        ]))
+    block, *indices = np.hstack(places)
+    # A block's rows (columns) are its distinct side-A (side-B) occupations,
+    # in the order of their index.
+    local, extent = [], []
+    for index in indices:
+        span = int(index.max()) + 1
+        keys, rank = np.unique(block * span + index, return_inverse=True)
+        size = np.bincount(keys // span, minlength=len(block_of))
+        local.append(rank - (np.cumsum(size) - size)[block])
+        extent.append(size)
+    thin = np.minimum(*extent) == 1
+    turned = extent[0] > extent[1]
+    thin_count = int(thin.sum())
+    rows, cols = np.sort(np.stack(extent)[:, ~thin], axis=0)
+    shape = (rows.size, int(rows.max(initial=0)), int(cols.max(initial=0)))
+    row, col = np.where(turned[block], local[::-1], local)
+    bins = np.where(thin[block], (np.cumsum(thin) - 1)[block], thin_count).repeat(2)
+    cells = np.where(
+        thin[block],
+        math.prod(shape),
+        ((np.cumsum(~thin) - 1)[block] * shape[1] + row) * shape[2] + col,
+    )
+    bins.setflags(write=False)
+    cells.setflags(write=False)
+    return bins, thin_count, cells, shape
+
+
 def entropy_objective(
     state: PureState, partition: Partition
 ) -> Callable[[np.ndarray], float]:
@@ -164,34 +245,29 @@ def entropy_objective(
     ``apply_redefinition`` on every populated sector of N photons, with all
     that depends only on the state, the partition and M prepared here once:
     the cached ladder tables, each sector's terms as steps and weights, and
-    the Schmidt-matrix cell of every occupation of the sector, its row and
-    column being the index of its side-A and side-B occupation.  An
+    the cached block layout of the Schmidt matrix (``_block_layout``).  An
     evaluation is then exp(iH), N gather-multiply steps per sector (the last
-    one summing the terms), the scatter into the Schmidt matrix, an SVD and
-    the entropy.  A state past the ladder's size limit raises SizeLimitError
-    here, before any table is built.
+    one summing the terms), and the block spectrum: one ``np.bincount`` of
+    |amplitude|^2 gives the coefficient of every block with one row or
+    column, one stacked SVD the coefficients of the others; then the
+    entropy.  A state past the ladder's size limit raises SizeLimitError
+    here, before any table is built, and a partition that does not cover
+    the state's modes raises PartitionError.
 
     The closure raises DimensionError for a theta whose length is not M^2
     and NumericalConsistencyError when the Schmidt coefficients miss a sum
     of one by more than 1e-10, as ``schmidt_spectrum`` does.
     """
+    if not state.amplitudes:
+        raise DegenerateStateError("state has zero norm")
     mode_count = state.mode_count
     n_params = mode_count * mode_count
     rungs, plans = _sector_plans(state)
-    blocks = [
-        (
-            batches,
-            _sector_index(mode_count, total, partition.side_a),
-            _sector_index(mode_count, total, partition.side_b),
-        )
-        for total, batches in plans
-    ]
-    # The top sector holds every split of its N photons, so the indices of the
-    # side-A and side-B occupations number the Schmidt matrix's rows and columns.
-    top = max((total for total, _ in plans), default=0)
-    shape = tuple(
-        math.comb(top + len(side), top) for side in (partition.side_a, partition.side_b)
+    sectors = [batches for _, batches in plans]
+    bins, thin_count, cells, shape = _block_layout(
+        mode_count, tuple(total for total, _ in plans), partition
     )
+    stack_size = math.prod(shape)
 
     def objective(theta: np.ndarray) -> float:
         if np.size(theta) != n_params:
@@ -200,11 +276,16 @@ def entropy_objective(
                 f"parameters, got {np.size(theta)}"
             )
         subst = exp_i_hermitian(hermitian_from_params(theta)).conj().T
-        coeff = np.zeros(shape, dtype=complex)
-        for batches, sector_rows, sector_cols in blocks:
-            coeff[sector_rows, sector_cols] = _climb(subst, batches, rungs)
-        singulars = np.linalg.svd(coeff, compute_uv=False)
-        lam = singulars * singulars
+        amplitudes = np.concatenate(
+            [_climb(subst, batches, rungs) for batches in sectors]
+        )
+        parts = amplitudes.view(float)
+        lam = np.bincount(bins, parts * parts, thin_count + 1)[:thin_count]
+        if stack_size:
+            stack = np.zeros(stack_size + 1, dtype=complex)
+            stack[cells] = amplitudes
+            singulars = np.linalg.svd(stack[:-1].reshape(shape), compute_uv=False)
+            lam = np.concatenate((lam, singulars.ravel() ** 2))
         _require_unit_sum(lam)
         lam = lam[lam > 0.0]
         # Rounding can make the sum a hair positive; an entropy is never below +0.0.

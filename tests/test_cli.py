@@ -135,6 +135,17 @@ def test_bad_state_is_parse_error(capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_huge_coefficients_normalize_or_are_parse_errors(capsys):
+    # 1e400 is past the float range: a positioned parse error.
+    assert run_cli(["entropy", "1e400*|10> + |01>", "--partition", "0|1"]) == 3
+    assert "offset 6" in capsys.readouterr().err
+    # 1e200 squared overflows, but the state still normalizes.
+    argv = ["entropy", "1e200*|10> + 1e200*|01>", "--partition", "0|1", "--json"]
+    assert run_cli(argv) == 0
+    entropy = json.loads(capsys.readouterr().out)["entropy_bits"]
+    assert entropy == pytest.approx(1.0, abs=1e-12)
+
+
 def test_bad_unitary_file_is_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{\"dim\": 1}")

@@ -9,6 +9,7 @@ from fockmodes import (
     NumericalConsistencyError,
     OptConfig,
     Partition,
+    PartitionError,
     PureState,
     SizeLimitError,
     apply_redefinition,
@@ -20,7 +21,12 @@ from fockmodes import (
     schmidt_spectrum,
 )
 from fockmodes.optimize import _lbfgs, entropy_objective
-from fockmodes.suite import two_photon_pair, vacuum_plus_pair
+from fockmodes.suite import (
+    crossed_pair_state,
+    four_photon_state,
+    two_photon_pair,
+    vacuum_plus_pair,
+)
 
 from conftest import random_state
 
@@ -59,15 +65,23 @@ def test_lbfgs_stops_at_a_stationary_start():
 
 
 def test_objective_matches_library_entropy(rng):
-    state = random_state(rng, 3, totals=(0, 2))
-    part = Partition((0,), (1, 2))
-    objective = entropy_objective(state, part)
-    for _ in range(20):
-        theta = rng.uniform(-np.pi, np.pi, 9)
-        direct = schmidt_spectrum(
-            apply_redefinition(state, exp_map(theta)), part
-        ).entropy_bits
-        assert objective(theta) == pytest.approx(direct, abs=1e-12)
+    cases = [(random_state(rng, 3, totals=(0, 2)), Partition((0,), (1, 2)), 20)]
+    # Random totals and cuts: blocks of every shape, merged across totals.
+    for _ in range(12):
+        mode_count = int(rng.integers(2, 5))
+        totals = sorted(set(rng.integers(0, 4, size=int(rng.integers(1, 4))).tolist()))
+        modes = rng.permutation(mode_count).tolist()
+        cut = int(rng.integers(1, mode_count))
+        part = Partition(tuple(sorted(modes[:cut])), tuple(sorted(modes[cut:])))
+        cases.append((random_state(rng, mode_count, totals), part, 3))
+    for state, part, points in cases:
+        objective = entropy_objective(state, part)
+        for _ in range(points):
+            theta = rng.uniform(-np.pi, np.pi, state.mode_count**2)
+            direct = schmidt_spectrum(
+                apply_redefinition(state, exp_map(theta)), part
+            ).entropy_bits
+            assert objective(theta) == pytest.approx(direct, abs=1e-12)
 
 
 def _spread_state(mode_count):
@@ -95,10 +109,17 @@ def _spread_state(mode_count):
         (parse_state("|12,0,0>"), "0|1,2"),
         (parse_state("|4,4,4>"), "1|0,2"),
         (parse_state("|19,0>"), "0|1"),
+        # Blocks 15x1, 5x5 and 1x15; mostly thick blocks; a 2x2 block between
+        # two thin ones; one block joining the vacuum and the pair's totals.
+        (crossed_pair_state(5), "0,1,2,3,4|5,6,7,8,9"),
+        (parse_state("|2,1,2,2>"), "2,3|0,1"),
+        (four_photon_state(), "0,1|2,3"),
+        (vacuum_plus_pair(), "0|1"),
     ],
     ids=[
         "noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40",
         "vacuum", "vacuum-triple3", "fock1200", "fock444", "fock190",
+        "crossed10", "fock2122", "four-photon", "vacuum-pair",
     ],
 )
 def test_dense_objective_matches_sparse_rewrite(state, cut):
@@ -162,6 +183,28 @@ def test_objective_checks_schmidt_coefficients_sum_to_one():
     unnormalized = PureState(2, {(2, 0): 1.0, (0, 2): 1.0})
     with pytest.raises(NumericalConsistencyError, match="sum to"):
         entropy_objective(unnormalized, part)(theta)
+    # The same check where the spectrum takes an SVD: the 2x2 block of one
+    # photon on each side.
+    unnormalized = PureState(4, {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 1.0})
+    objective = entropy_objective(unnormalized, Partition((0, 1), (2, 3)))
+    with pytest.raises(NumericalConsistencyError, match="sum to"):
+        objective(np.random.default_rng(5).uniform(-np.pi, np.pi, 16))
+    # A rank-one point reads exactly +0.0.
+    at_identity = entropy_objective(parse_state("|20>"), part)(np.zeros(4))
+    assert at_identity == 0.0 and math.copysign(1.0, at_identity) == 1.0
+
+
+@pytest.mark.parametrize(
+    "ket, partition",
+    [
+        ("|110> + |011>", Partition((0,), (1,))),
+        ("|100> + |010>", Partition((0,), (5,))),
+    ],
+    ids=["drops-a-mode", "out-of-range"],
+)
+def test_objective_rejects_partition_not_covering_the_modes(ket, partition):
+    with pytest.raises(PartitionError, match="does not cover"):
+        entropy_objective(parse_state(ket), partition)
 
 
 def test_optimize_two_photon_pair_extrema():

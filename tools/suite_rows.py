@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Per-call time and evaluation count of the reference suite's optimizer rows.
+
+    python3 tools/suite_rows.py --src PATH [--seed 0]
+
+Imports fockmodes from PATH (a checkout's ``src`` directory) and nowhere
+else, wraps the module-level ``optimize_entanglement`` that the suite's
+optimizer rows call, and runs ``run_reference_suite(seed)`` once.  Prints one
+JSON line per optimizer call (call index, mode count, direction, wall ms,
+``OptResult.evaluations``), then one line with the suite's totals.  To
+compare two trees, alternate runs of this script on each.  BLAS is pinned to
+one thread, as in ``bench/run.py``, so the timings do not switch between
+one- and two-thread modes from process to process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src", required=True, help="directory holding the fockmodes package"
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    # Before numpy loads, which happens with the first fockmodes import.
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[variable] = "1"
+    src = Path(args.src).resolve()
+    if not (src / "fockmodes" / "__init__.py").is_file():
+        raise SystemExit(f"error: no fockmodes package under {src}")
+    sys.path.insert(0, str(src))
+    import fockmodes.suite as suite
+
+    if Path(suite.__file__).resolve().parent != src / "fockmodes":
+        raise SystemExit(f"error: imported fockmodes from {suite.__file__}, not {src}")
+
+    calls = []
+    optimize = suite.optimize_entanglement
+
+    def timed(state, partition, cfg):
+        start = time.perf_counter()
+        result = optimize(state, partition, cfg)
+        calls.append({
+            "call": len(calls),
+            "modes": state.mode_count,
+            "direction": cfg.direction,
+            "wall_ms": round((time.perf_counter() - start) * 1000.0, 1),
+            "evaluations": result.evaluations,
+        })
+        print(json.dumps(calls[-1]), flush=True)
+        return result
+
+    suite.optimize_entanglement = timed
+    start = time.perf_counter()
+    rows = suite.run_reference_suite(seed=args.seed)
+    print(json.dumps({
+        "total_wall_ms": round((time.perf_counter() - start) * 1000.0, 1),
+        "optimizer_wall_ms": round(sum(call["wall_ms"] for call in calls), 1),
+        "evaluations": sum(call["evaluations"] for call in calls),
+        "calls": len(calls),
+        "all_pass": all(row.passed for row in rows),
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -42,7 +42,6 @@ from .ketparse import (
 )
 from .optimize import OptConfig, OptResult, optimize_entanglement
 from .transform import (
-    HermitianParams,
     ModeUnitary,
     apply_redefinition,
     beam_splitter,
@@ -58,7 +57,6 @@ __all__ = [
     "DegenerateStateError",
     "DimensionError",
     "FockmodesError",
-    "HermitianParams",
     "KetParseError",
     "ModeUnitary",
     "NotNormalizedError",

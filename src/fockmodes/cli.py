@@ -3,7 +3,8 @@ and the built-in reproduction suite.
 
 Exit codes: 0 success, 1 reproduction-suite mismatch, 2 usage error,
 3 input parse error, 4 numerical-consistency error, 5 input over a size
-limit (a rewrite needing more ladder rows than ``LADDER_ROW_LIMIT``).
+limit (a rewrite needing more ladder rows than ``LADDER_ROW_LIMIT``, or a
+rank bound with more digits than Python may print).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -73,6 +75,22 @@ class Report:
         return "\n".join(lines)
 
 
+def _printable_rank_bound(state, partition: Partition) -> int:
+    """``rank_bound``, refused as a size limit when it has more decimal digits
+    than the interpreter's int-to-str limit lets a report print."""
+    bound = rank_bound(state, partition)
+    # Python before 3.10.7 has no such limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # The digits of 2^(bits - 1) <= bound, plus one from the next power of ten.
+    digits = int((bound.bit_length() - 1) * math.log10(2)) + 1
+    digits += bound >= 10**digits
+    if limit and digits > limit:
+        raise SizeLimitError(
+            f"rank bound has {digits} digits, above the limit of {limit} for printing"
+        )
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockmodes",
@@ -124,7 +142,7 @@ def _cmd_entropy(args) -> int:
         lambdas=[float(v) for v in spectrum.lambdas],
         entropy_bits=spectrum.entropy_bits,
         rank=spectrum.numerical_rank,
-        rank_bound=rank_bound(state, partition),
+        rank_bound=_printable_rank_bound(state, partition),
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )
     print(report.to_json() if args.json else report.to_table())
@@ -156,7 +174,7 @@ def _cmd_optimize(args) -> int:
         lambdas=[float(v) for v in spectrum.lambdas],
         entropy_bits=result.best_entropy_bits,
         rank=spectrum.numerical_rank,
-        rank_bound=rank_bound(state, partition),
+        rank_bound=_printable_rank_bound(state, partition),
         direction=result.direction,
         best=result.best_entropy_bits,
         restart_values=list(result.per_restart_values),
@@ -174,7 +192,7 @@ def _cmd_rank_bound(args) -> int:
     report = Report(
         input=args.state,
         partition=str(partition),
-        rank_bound=rank_bound(state, partition),
+        rank_bound=_printable_rank_bound(state, partition),
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )
     print(report.to_json() if args.json else report.to_table())

@@ -137,11 +137,12 @@ def _require_unit_sum(lambdas: np.ndarray) -> None:
 
 
 def entropy_of_spectrum(lambdas: np.ndarray) -> float:
-    """-sum lambda log2 lambda with the 0 log 0 := 0 convention."""
+    """-sum lambda log2 lambda with the 0 log 0 := 0 convention, never below +0.0."""
     lam = np.asarray(lambdas, dtype=float)
     lam = lam[lam > 0.0]
-    # 0.0 - sum, not -sum: a pure state's sum is 0.0 and its entropy +0.0.
-    return 0.0 - float((lam * np.log2(lam)).sum())
+    # A pure state's sum is 0.0, and a coefficient a hair above one (as an
+    # unclipped SVD can give) makes it a hair positive.
+    return max(0.0, -float((lam * np.log2(lam)).sum()))
 
 
 def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:

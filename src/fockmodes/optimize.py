@@ -18,16 +18,20 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import Partition, SchmidtSpectrum, _require_unit_sum, schmidt_spectrum
+from .entanglement import (
+    Partition,
+    SchmidtSpectrum,
+    _require_unit_sum,
+    entropy_of_spectrum,
+    schmidt_spectrum,
+)
 from .errors import DegenerateStateError, DimensionError, NumericalConsistencyError
 from .fock import PureState, require_normalized
 from .transform import (
-    HermitianParams,
     ModeUnitary,
-    _climb,
+    _rewriter,
     _sector_index,
     _sector_occupations,
-    _sector_plans,
     apply_redefinition,
     exp_i_hermitian,
     exp_map,
@@ -37,6 +41,8 @@ from .transform import (
 # The optimizer is meant for desk-scale problems; each forward-difference
 # gradient costs M^2 objective evaluations, so the parameter count is capped.
 _MAX_PARAMETERS = 144
+# L-BFGS iterations per restart before it is reported as not converged.
+_MAX_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,6 @@ class OptConfig:
     direction: str
     restarts: int = 24
     seed: int = 0
-    max_iterations: int = 4000
 
     def __post_init__(self):
         if self.direction not in ("min", "max"):
@@ -55,8 +60,6 @@ class OptConfig:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class OptResult:
     direction: str
     best_entropy_bits: float
     best_unitary: ModeUnitary
-    best_params: HermitianParams
     best_spectrum: SchmidtSpectrum
     per_restart_values: tuple[float, ...]
     evaluations: int
@@ -241,16 +243,16 @@ def entropy_objective(
 ) -> Callable[[np.ndarray], float]:
     """Build theta -> entropy_bits(apply_redefinition(state, exp_map(theta)), p).
 
-    The returned closure runs the photon-number ladder of
-    ``apply_redefinition`` on every populated sector of N photons, with all
-    that depends only on the state, the partition and M prepared here once:
-    the cached ladder tables, each sector's terms as steps and weights, and
-    the cached block layout of the Schmidt matrix (``_block_layout``).  An
+    The returned closure rewrites the state through the same photon-number
+    ladder as ``apply_redefinition`` (``transform._rewriter``), with all that
+    depends only on the state, the partition and M prepared here once: the
+    cached ladder tables, each sector's terms as steps and weights, and the
+    cached block layout of the Schmidt matrix (``_block_layout``).  An
     evaluation is then exp(iH), N gather-multiply steps per sector (the last
     one summing the terms), and the block spectrum: one ``np.bincount`` of
     |amplitude|^2 gives the coefficient of every block with one row or
-    column, one stacked SVD the coefficients of the others; then the
-    entropy.  A state past the ladder's size limit raises SizeLimitError
+    column, one stacked SVD the coefficients of the others; then
+    ``entropy_of_spectrum``.  A state past the ladder's size limit raises SizeLimitError
     here, before any table is built, and a partition that does not cover
     the state's modes raises PartitionError.
 
@@ -262,11 +264,8 @@ def entropy_objective(
         raise DegenerateStateError("state has zero norm")
     mode_count = state.mode_count
     n_params = mode_count * mode_count
-    rungs, plans = _sector_plans(state)
-    sectors = [batches for _, batches in plans]
-    bins, thin_count, cells, shape = _block_layout(
-        mode_count, tuple(total for total, _ in plans), partition
-    )
+    totals, rewrite = _rewriter(state)
+    bins, thin_count, cells, shape = _block_layout(mode_count, totals, partition)
     stack_size = math.prod(shape)
 
     def objective(theta: np.ndarray) -> float:
@@ -275,10 +274,7 @@ def entropy_objective(
                 f"objective over {mode_count} modes takes M^2 = {n_params} "
                 f"parameters, got {np.size(theta)}"
             )
-        subst = exp_i_hermitian(hermitian_from_params(theta)).conj().T
-        amplitudes = np.concatenate(
-            [_climb(subst, batches, rungs) for batches in sectors]
-        )
+        amplitudes = rewrite(exp_i_hermitian(hermitian_from_params(theta)).conj().T)
         parts = amplitudes.view(float)
         lam = np.bincount(bins, parts * parts, thin_count + 1)[:thin_count]
         if stack_size:
@@ -287,9 +283,7 @@ def entropy_objective(
             singulars = np.linalg.svd(stack[:-1].reshape(shape), compute_uv=False)
             lam = np.concatenate((lam, singulars.ravel() ** 2))
         _require_unit_sum(lam)
-        lam = lam[lam > 0.0]
-        # Rounding can make the sum a hair positive; an entropy is never below +0.0.
-        return max(0.0, -float((lam * np.log2(lam)).sum()))
+        return entropy_of_spectrum(lam)
 
     return objective
 
@@ -300,12 +294,14 @@ def optimize_entanglement(
     """Extremal entanglement entropy over all mode redefinitions.
 
     Restart 0 starts at the identity; restarts 1.. start at seeded uniform
-    points in [-pi, pi]^{M^2}.  Results are deterministic for a fixed
-    (seed, restarts, max_iterations) and independent of restart execution order
-    (ties break toward the lowest restart index).
+    points in [-pi, pi]^{M^2}, and each runs at most _MAX_ITERATIONS L-BFGS
+    iterations.  Results are deterministic for a fixed (seed, restarts) and
+    independent of restart execution order (ties break toward the lowest
+    restart index).  The winner is rewritten with ``apply_redefinition`` and
+    rechecked by ``schmidt_spectrum``.  A partition that does not cover the
+    state's modes raises PartitionError from the objective's build.
     """
     require_normalized(state)
-    partition.ensure_covers(state.mode_count)
     mode_count = state.mode_count
     n_params = mode_count * mode_count
     if n_params > _MAX_PARAMETERS:
@@ -328,7 +324,7 @@ def optimize_entanglement(
     best_theta: np.ndarray | None = None
     best_converged = False
     for theta0 in starts:
-        theta, f_best, evals, converged = _lbfgs(objective, theta0, cfg.max_iterations)
+        theta, f_best, evals, converged = _lbfgs(objective, theta0, _MAX_ITERATIONS)
         value = f_best if minimizing else -f_best
         per_restart.append(value)
         evaluations += evals
@@ -340,8 +336,7 @@ def optimize_entanglement(
             best_theta = theta
             best_converged = converged
 
-    best_params = HermitianParams(best_theta)
-    best_unitary = exp_map(best_params)
+    best_unitary = exp_map(best_theta)
     best_spectrum = schmidt_spectrum(apply_redefinition(state, best_unitary), partition)
     if abs(best_spectrum.entropy_bits - best_value) > 1e-9:
         raise NumericalConsistencyError(
@@ -352,7 +347,6 @@ def optimize_entanglement(
         direction=cfg.direction,
         best_entropy_bits=best_value,
         best_unitary=best_unitary,
-        best_params=best_params,
         best_spectrum=best_spectrum,
         per_restart_values=tuple(per_restart),
         evaluations=evaluations,

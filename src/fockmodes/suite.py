@@ -138,18 +138,15 @@ def _moduli_deviation(state: PureState, expected: dict[tuple, float]) -> float:
     return max(deviation, off)
 
 
-def _opt(state, partition, direction, seed, restarts) -> OptResult:
-    cfg = OptConfig(direction=direction, restarts=restarts, seed=seed)
-    return optimize_entanglement(state, partition, cfg)
+def _opt(state, partition, direction, seed) -> OptResult:
+    return optimize_entanglement(state, partition, OptConfig(direction, seed=seed))
 
 
-def run_reference_suite(
-    seed: int = 0, restarts: int = 24, include_largest: bool = True
-) -> list[SuiteRow]:
+def run_reference_suite(seed: int = 0) -> list[SuiteRow]:
     """Compute every row of the reproduction table.
 
-    ``include_largest`` controls the 10-mode conjecture check, the slowest
-    row by a wide margin.
+    Optimizer rows run OptConfig's default 24 restarts from `seed`; the
+    10-mode conjecture check (row 10.4) is the slowest row by a wide margin.
     """
     rows: list[SuiteRow] = []
 
@@ -230,20 +227,20 @@ def run_reference_suite(
     # 6: bunched pair extrema.
     state = two_photon_pair()
     add("6.1", "two-photon pair: minimal entropy (1|1)",
-        0.0, _opt(state, cut_11, "min", seed, restarts).best_entropy_bits, 1e-6)
+        0.0, _opt(state, cut_11, "min", seed).best_entropy_bits, 1e-6)
     add("6.2", "two-photon pair: maximal entropy (1|1)",
-        LOG2_3, _opt(state, cut_11, "max", seed, restarts).best_entropy_bits, 1e-3)
+        LOG2_3, _opt(state, cut_11, "max", seed).best_entropy_bits, 1e-3)
 
     # 7: crossed pairs, pair-vs-pair cut.
     state = crossed_pair_state(2)
     add("7.1", "crossed pairs (4 modes): minimal entropy (01|23)",
-        1.0, _opt(state, cut_22, "min", seed, restarts).best_entropy_bits, 1e-6)
-    max_22 = _opt(state, cut_22, "max", seed, restarts).best_entropy_bits
+        1.0, _opt(state, cut_22, "min", seed).best_entropy_bits, 1e-6)
+    max_22 = _opt(state, cut_22, "max", seed).best_entropy_bits
     add("7.2", "crossed pairs (4 modes): maximal entropy (01|23)",
         2.0, max_22, 1e-3)
 
     # 8: crossed pairs, one mode against three.
-    min_13 = _opt(state, cut_13, "min", seed, restarts)
+    min_13 = _opt(state, cut_13, "min", seed)
     add("8.1", "crossed pairs (4 modes): minimal entropy (0|123)",
         2.0 - 0.75 * LOG2_3, min_13.best_entropy_bits, 5e-4)
     rho, _ = reduced_density_matrix(
@@ -254,13 +251,13 @@ def run_reference_suite(
     add("8.2", "crossed pairs (4 modes): single-mode spectrum at the minimum",
         0.0, rho_err, 5e-4)
     add("8.3", "crossed pairs (4 modes): maximal entropy (0|123)",
-        1.3002, _opt(state, cut_13, "max", seed, restarts).best_entropy_bits, 5e-4)
+        1.3002, _opt(state, cut_13, "max", seed).best_entropy_bits, 5e-4)
 
     # 9: six-mode crossed pairs, triplet cut.
     state = crossed_pair_state(3)
     add("9.1", "crossed pairs (6 modes): minimal entropy (012|345)",
-        1.0, _opt(state, cut_33, "min", seed, restarts).best_entropy_bits, 1e-6)
-    max_33 = _opt(state, cut_33, "max", seed, restarts).best_entropy_bits
+        1.0, _opt(state, cut_33, "min", seed).best_entropy_bits, 1e-6)
+    max_33 = _opt(state, cut_33, "max", seed).best_entropy_bits
     add("9.2", "crossed pairs (6 modes): maximal entropy (012|345)",
         math.log2(5.0), max_33, 1e-3)
 
@@ -273,21 +270,19 @@ def run_reference_suite(
     cut_44 = Partition((0, 1, 2, 3), (4, 5, 6, 7))
     add("10.3", "crossed pairs conjecture: N=4 maximum is log2(6)",
         math.log2(6.0),
-        _opt(state, cut_44, "max", seed, restarts).best_entropy_bits, 1e-3)
-    if include_largest:
-        state = crossed_pair_state(5)
-        cut_55 = Partition(tuple(range(5)), tuple(range(5, 10)))
-        add("10.4", "crossed pairs conjecture: N=5 maximum is log2(7)",
-            math.log2(7.0),
-            _opt(state, cut_55, "max", seed, restarts).best_entropy_bits, 1e-3)
+        _opt(state, cut_44, "max", seed).best_entropy_bits, 1e-3)
+    state = crossed_pair_state(5)
+    cut_55 = Partition(tuple(range(5)), tuple(range(5, 10)))
+    add("10.4", "crossed pairs conjecture: N=5 maximum is log2(7)",
+        math.log2(7.0), _opt(state, cut_55, "max", seed).best_entropy_bits, 1e-3)
 
     # 11: four-photon state, pair-vs-pair cut.
     state = four_photon_state()
     add("11.1", "four-photon state: input entropy (01|23)",
         LOG2_3, schmidt_spectrum(state, cut_22).entropy_bits, 1e-6)
     add("11.2", "four-photon state: minimal entropy (01|23)",
-        LOG2_3, _opt(state, cut_22, "min", seed, restarts).best_entropy_bits, 1e-6)
-    max_run = _opt(state, cut_22, "max", seed, restarts)
+        LOG2_3, _opt(state, cut_22, "min", seed).best_entropy_bits, 1e-6)
+    max_run = _opt(state, cut_22, "max", seed)
     add("11.3", "four-photon state: maximal entropy (01|23)",
         2.9798, max_run.best_entropy_bits, 2e-3)
     spectrum = max_run.best_spectrum
@@ -300,8 +295,8 @@ def run_reference_suite(
     # 12: vacuum+pair extrema.
     state = vacuum_plus_pair()
     add("12.1", "vacuum+pair: minimal entropy (1|1)",
-        0.3546, _opt(state, cut_11, "min", seed, restarts).best_entropy_bits, 5e-4)
+        0.3546, _opt(state, cut_11, "min", seed).best_entropy_bits, 5e-4)
     add("12.2", "vacuum+pair: maximal entropy (1|1)",
-        1.0071, _opt(state, cut_11, "max", seed, restarts).best_entropy_bits, 5e-4)
+        1.0071, _opt(state, cut_11, "max", seed).best_entropy_bits, 5e-4)
 
     return rows

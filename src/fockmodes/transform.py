@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,38 +91,6 @@ def validate_unitary(entries, tol: float = UNITARY_TOLERANCE) -> ModeUnitary:
     return ModeUnitary(entries, tol=tol)
 
 
-def _square_dim(theta: np.ndarray) -> int:
-    """M for a parameter vector of length M^2 with M >= 1."""
-    dim = math.isqrt(theta.size)
-    if dim * dim != theta.size or dim < 1:
-        raise DimensionError(
-            f"parameter vector length {theta.size} is not a positive square"
-        )
-    return dim
-
-
-@dataclass(frozen=True)
-class HermitianParams:
-    """Real coordinates of an M x M Hermitian matrix, length M^2.
-
-    Layout: M diagonal entries, then the M(M-1)/2 real parts and then the
-    M(M-1)/2 imaginary parts of the strict upper triangle, both in row-major
-    order.
-    """
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float).ravel().copy()
-        _square_dim(theta)
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.theta.size)
-
-
 @functools.cache
 def _hermitian_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat positions in a dim x dim matrix of the diagonal, the strict upper
@@ -140,9 +107,18 @@ def _hermitian_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def hermitian_from_params(theta) -> np.ndarray:
-    """Assemble the Hermitian matrix encoded by a length-M^2 real vector."""
+    """Assemble the Hermitian matrix encoded by a real vector of length M^2, M >= 1.
+
+    Layout: M diagonal entries, then the M(M-1)/2 real parts and then the
+    M(M-1)/2 imaginary parts of the strict upper triangle, both in row-major
+    order.
+    """
     theta = np.asarray(theta, dtype=float).ravel()
-    dim = _square_dim(theta)
+    dim = math.isqrt(theta.size)
+    if dim * dim != theta.size or dim < 1:
+        raise DimensionError(
+            f"parameter vector length {theta.size} is not a positive square"
+        )
     diagonal, upper, lower = _hermitian_layout(dim)
     pairs = upper.size
     values = theta[dim : dim + pairs] + 1j * theta[dim + pairs :]
@@ -163,14 +139,13 @@ def exp_i_hermitian(herm: np.ndarray) -> np.ndarray:
     return (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
 
 
-def exp_map(params) -> ModeUnitary:
-    """U = exp(iH) for the Hermitian matrix encoded by `params`.
+def exp_map(theta) -> ModeUnitary:
+    """U = exp(iH) for the Hermitian matrix H encoded by the real vector
+    `theta` of length M^2 (layout as in ``hermitian_from_params``).
 
-    Accepts a HermitianParams record or any real vector of square length.
     Surjective onto U(M), so it serves as unconstrained coordinates for
     optimization over all mode redefinitions.
     """
-    theta = params.theta if isinstance(params, HermitianParams) else params
     return ModeUnitary(
         exp_i_hermitian(hermitian_from_params(theta)), tol=EXP_MAP_TOLERANCE
     )
@@ -396,11 +371,15 @@ def _sector_index(mode_count: int, total: int, modes: tuple[int, ...]) -> np.nda
     return index
 
 
-def _sector_plans(state: PureState):
-    """The ladder rungs for `state` and, per populated sector in increasing
-    photon number, its terms in batches of (picks, start, gathers).
+def _rewriter(state: PureState):
+    """The populated photon numbers of `state`, increasing, and a function
+    rewrite(subst) that returns the amplitudes of every populated sector, in
+    ladder order and sector after sector, with every old a†_j replaced by
+    sum_k subst[j, k] b†_k.
 
-    A term takes one step per photon, old modes in increasing order.  Row
+    All that depends only on the state is prepared here once: the ladder
+    rungs and each sector's terms in batches of (picks, start, gathers).  A
+    term takes one step per photon, old modes in increasing order.  Row
     step * T + i of `picks` selects, for term i of T, the old mode of that
     step (one nonzero entry), so picks @ subst gives every step's factor
     row at once.  The entry is sqrt(s + 1) / sqrt(c) for the step into
@@ -410,19 +389,22 @@ def _sector_plans(state: PureState):
     first pick.  `start` is the vector over the vacuum
     sector: ones, or for the vacuum sector itself, which takes no step, its
     amplitude.  The gathers are the middle steps' rung positions, offset to
-    each term's block of the (term, mode, occupation) outer product.
+    each term's block of the (term, mode, occupation) outer product.  A
+    state whose largest sector of N photons in M modes needs more than
+    LADDER_ROW_LIMIT ladder rows raises SizeLimitError here.
     """
     mode_count = state.mode_count
     sectors: dict[int, list] = {}
     for occ, amp in state.amplitudes.items():
         sectors.setdefault(sum(occ), []).append((occ, amp))
-    rungs = _ladder(mode_count).rungs(max(sectors, default=0))
+    totals = tuple(sorted(sectors))
+    rungs = _ladder(mode_count).rungs(max(totals, default=0))
     plans = []
-    for total in sorted(sectors):
+    for total in totals:
         terms = sectors[total]
         amps = np.array([amp for _, amp in terms])
         if total == 0:
-            plans.append((total, [(None, amps[:, None], [])]))
+            plans.append([(None, amps[:, None], [])])
             continue
         shape = (len(terms), total)
         steps = np.array(
@@ -447,8 +429,13 @@ def _sector_plans(state: PureState):
                 for below, rung in zip(rungs[: total - 2], rungs[1 : total - 1])
             ]
             batches.append((picks.reshape(-1, mode_count), np.ones((count, 1)), gathers))
-        plans.append((total, batches))
-    return rungs, plans
+        plans.append(batches)
+
+    def rewrite(subst: np.ndarray) -> np.ndarray:
+        parts = [_climb(subst, batches, rungs) for batches in plans]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+
+    return totals, rewrite
 
 
 def _climb(subst: np.ndarray, batches, rungs) -> np.ndarray:
@@ -490,11 +477,9 @@ def apply_redefinition(state: PureState, unitary: ModeUnitary) -> PureState:
         raise DimensionError(
             f"unitary dimension {unitary.dim} != state mode count {state.mode_count}"
         )
+    totals, rewrite = _rewriter(state)
     subst = unitary.matrix.conj().T  # row j: expansion of old a†_j in new operators
-    rungs, plans = _sector_plans(state)
-    chain = itertools.chain.from_iterable
-    return PureState._of_checked(
-        state.mode_count,
-        chain(_sector_labels(state.mode_count, total) for total, _ in plans),
-        chain(_climb(subst, batches, rungs).tolist() for _, batches in plans),
+    labels = itertools.chain.from_iterable(
+        _sector_labels(state.mode_count, total) for total in totals
     )
+    return PureState._of_checked(state.mode_count, labels, rewrite(subst).tolist())

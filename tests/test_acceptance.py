@@ -209,7 +209,7 @@ def test_criterion_15_local_redefinitions_preserve_entropy():
 
 def test_criterion_16_sandwich_and_ceiling():
     rng = np.random.default_rng(16)
-    quick = dict(restarts=2, max_iterations=150)
+    quick = dict(restarts=2)
     for case in range(200):
         mode_count = int(rng.integers(2, 4))
         total = int(rng.integers(1, 3))

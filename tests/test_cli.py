@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -155,7 +156,27 @@ def test_bad_unitary_file_is_parse_error(tmp_path, capsys):
 
 def test_partition_not_covering_is_usage_error(capsys):
     assert run_cli(["entropy", "|01>+|10>", "--partition", "0|2"]) == 2
-    capsys.readouterr()
+    argv = ["optimize", "|110>+|011>", "--partition", "0|1", "--direction", "max"]
+    assert run_cli(argv) == 2
+    assert "does not cover" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["entropy", "rank-bound"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
+def test_rank_bound_too_long_to_print_is_size_limit(command, json_flag, capsys):
+    # 10^59 photons in the first of 200 modes, cut 100|100: the bound has
+    # more digits than Python prints by default.
+    ket = "|" + ",".join([str(10**59)] + ["0"] * 199) + ">"
+    cut = ",".join(map(str, range(100))) + "|" + ",".join(map(str, range(100, 200)))
+    state = parse_state(ket)
+    bound = rank_bound(state, Partition.from_string(cut))
+    digits = len(str(bound // 10**4000)) + 4000
+    assert digits > sys.get_int_max_str_digits()
+    assert run_cli([command, ket, "--partition", cut, *json_flag]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank bound has {digits} digits" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def test_missing_unitary_file_is_usage_error(capsys):

@@ -207,6 +207,13 @@ def test_objective_rejects_partition_not_covering_the_modes(ket, partition):
         entropy_objective(parse_state(ket), partition)
 
 
+def test_optimize_rejects_partition_not_covering_the_modes():
+    # The objective's build is the one place that checks the partition.
+    state = parse_state("|110> + |011>")
+    with pytest.raises(PartitionError, match="does not cover"):
+        optimize_entanglement(state, Partition((0,), (1,)), OptConfig("max"))
+
+
 def test_optimize_two_photon_pair_extrema():
     part = Partition((0,), (1,))
     result = optimize_entanglement(two_photon_pair(), part, OptConfig("min"))
@@ -236,7 +243,7 @@ def test_optimize_result_reverifies_and_sandwiches():
 
 def test_optimize_deterministic_per_restart_values():
     part = Partition((0,), (1,))
-    cfg = OptConfig("max", restarts=6, seed=123, max_iterations=800)
+    cfg = OptConfig("max", restarts=6, seed=123)
     first = optimize_entanglement(two_photon_pair(), part, cfg)
     second = optimize_entanglement(two_photon_pair(), part, cfg)
     assert first.per_restart_values == second.per_restart_values
@@ -247,10 +254,10 @@ def test_optimize_monotone_in_restarts():
     part = Partition((0,), (1,))
     state = vacuum_plus_pair()
     small = optimize_entanglement(
-        state, part, OptConfig("min", restarts=3, seed=5, max_iterations=600)
+        state, part, OptConfig("min", restarts=3, seed=5)
     )
     large = optimize_entanglement(
-        state, part, OptConfig("min", restarts=7, seed=5, max_iterations=600)
+        state, part, OptConfig("min", restarts=7, seed=5)
     )
     # Same seed stream: the first three restarts coincide.
     assert large.per_restart_values[:3] == small.per_restart_values

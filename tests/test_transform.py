@@ -7,9 +7,9 @@ import pytest
 
 from fockmodes import (
     DimensionError,
-    HermitianParams,
     ModeUnitary,
     NotUnitaryError,
+    PureState,
     SizeLimitError,
     apply_redefinition,
     basis_state,
@@ -98,6 +98,12 @@ def test_rewrite_two_photon_pair_to_uniform_triple():
 def test_rewrite_dimension_mismatch():
     with pytest.raises(DimensionError):
         apply_redefinition(basis_state((1, 0, 0)), balanced_mixer())
+
+
+def test_rewrite_of_the_zero_state_is_the_zero_state():
+    # Every amplitude is pruned, so no sector is populated.
+    state = PureState(2, {(1, 0): 0.0})
+    assert apply_redefinition(state, balanced_mixer()).amplitudes == {}
 
 
 def test_rewrite_norm_and_sector_preservation(rng):
@@ -278,10 +284,16 @@ def test_exp_map_always_unitary(rng):
 
 
 def test_hermitian_params_validation():
-    params = HermitianParams(np.zeros(16))
-    assert params.dim == 4
+    assert exp_map(np.zeros(16)).dim == 4
     with pytest.raises(DimensionError):
-        HermitianParams(np.zeros(5))
+        exp_map(np.zeros(5))
+
+
+def test_every_exported_name_resolves():
+    import fockmodes
+
+    missing = [name for name in fockmodes.__all__ if not hasattr(fockmodes, name)]
+    assert missing == []
 
 
 # --- beam_splitter ------------------------------------------------------

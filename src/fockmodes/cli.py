@@ -38,6 +38,16 @@ PARSE_ERROR = 3
 NUMERICAL_ERROR = 4
 SIZE_LIMIT_ERROR = 5
 
+# Exit code of each error a command may raise; the first entry that matches wins.
+_EXIT_CODES = (
+    ((ParseError, NotUnitaryError), PARSE_ERROR),
+    ((PartitionError, DimensionError, ValueError), USAGE_ERROR),
+    ((NumericalConsistencyError, NotNormalizedError, DegenerateStateError), NUMERICAL_ERROR),
+    ((SizeLimitError,), SIZE_LIMIT_ERROR),
+    ((OSError,), USAGE_ERROR),
+)
+_HANDLED = tuple(error for types, _ in _EXIT_CODES for error in types)
+
 
 @dataclass
 class Report:
@@ -131,22 +141,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_entropy(args) -> int:
+def _report(args, measure) -> int:
+    """Parse the state and the cut, fill a Report with the fields that
+    `measure(state, partition)` returns, the rank bound and the wall time,
+    and print it as a table or as JSON."""
     start = time.perf_counter()
     state = parse_state(args.state)
     partition = Partition.from_string(args.partition)
-    spectrum = schmidt_spectrum(state, partition)
+    measured = measure(state, partition)
     report = Report(
         input=args.state,
         partition=str(partition),
-        lambdas=[float(v) for v in spectrum.lambdas],
-        entropy_bits=spectrum.entropy_bits,
-        rank=spectrum.numerical_rank,
         rank_bound=_printable_rank_bound(state, partition),
+        **measured,
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )
     print(report.to_json() if args.json else report.to_table())
     return 0
+
+
+def _cmd_entropy(args) -> int:
+    def measure(state, partition):
+        spectrum = schmidt_spectrum(state, partition)
+        return dict(
+            lambdas=[float(v) for v in spectrum.lambdas],
+            entropy_bits=spectrum.entropy_bits,
+            rank=spectrum.numerical_rank,
+        )
+
+    return _report(args, measure)
 
 
 def _cmd_transform(args) -> int:
@@ -162,41 +185,25 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    start = time.perf_counter()
-    state = parse_state(args.state)
-    partition = Partition.from_string(args.partition)
-    cfg = OptConfig(direction=args.direction, restarts=args.restarts, seed=args.seed)
-    result = optimize_entanglement(state, partition, cfg)
-    spectrum = result.best_spectrum
-    report = Report(
-        input=args.state,
-        partition=str(partition),
-        lambdas=[float(v) for v in spectrum.lambdas],
-        entropy_bits=result.best_entropy_bits,
-        rank=spectrum.numerical_rank,
-        rank_bound=_printable_rank_bound(state, partition),
-        direction=result.direction,
-        best=result.best_entropy_bits,
-        restart_values=list(result.per_restart_values),
-        seed=args.seed,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-    )
-    print(report.to_json() if args.json else report.to_table())
-    return 0
+    def measure(state, partition):
+        cfg = OptConfig(direction=args.direction, restarts=args.restarts, seed=args.seed)
+        result = optimize_entanglement(state, partition, cfg)
+        spectrum = result.best_spectrum
+        return dict(
+            lambdas=[float(v) for v in spectrum.lambdas],
+            entropy_bits=result.best_entropy_bits,
+            rank=spectrum.numerical_rank,
+            direction=result.direction,
+            best=result.best_entropy_bits,
+            restart_values=list(result.per_restart_values),
+            seed=args.seed,
+        )
+
+    return _report(args, measure)
 
 
 def _cmd_rank_bound(args) -> int:
-    start = time.perf_counter()
-    state = parse_state(args.state)
-    partition = Partition.from_string(args.partition)
-    report = Report(
-        input=args.state,
-        partition=str(partition),
-        rank_bound=_printable_rank_bound(state, partition),
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-    )
-    print(report.to_json() if args.json else report.to_table())
-    return 0
+    return _report(args, lambda state, partition: {})
 
 
 def _cmd_suite(args) -> int:
@@ -256,21 +263,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, NotUnitaryError) as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except (PartitionError, DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (NumericalConsistencyError, NotNormalizedError, DegenerateStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SIZE_LIMIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def main() -> None:

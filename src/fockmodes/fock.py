@@ -83,7 +83,7 @@ class PureState:
         return state
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.hypot(*map(abs, self.amplitudes.values()))
 
     def support(self) -> list[Occupation]:
         """Occupations with nonzero amplitude, in canonical order."""
@@ -146,13 +146,10 @@ def require_normalized(state: PureState) -> None:
 def normalize(state: PureState) -> PureState:
     """Rescale by a positive real so the result has unit norm.
 
-    When the squared norm overflows a float, the amplitudes are first
+    When the norm itself is past the float range, the amplitudes are first
     divided by a power of two, which is exact.
     """
-    try:
-        nrm = state.norm()
-    except OverflowError:  # some |amp|^2 is past the float range
-        nrm = math.inf
+    nrm = state.norm()
     if nrm == math.inf:
         peak = max(map(abs, state.amplitudes.values()))
         shift = math.ldexp(1.0, -math.frexp(peak)[1])

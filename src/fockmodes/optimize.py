@@ -167,13 +167,16 @@ def _block_layout(
     sector after sector, lands among the blocks of the Schmidt matrix.
 
     A redefinition keeps every total N, so a cell can be nonzero only where
-    n photons on side A meet N - n on side B.  Joining side-A photon number n
-    to side-B photon number N - n for every N in `totals`, each connected
-    component is one block: its rows are the side-A occupations of its
-    side-A photon numbers, its columns the side-B occupations of its side-B
-    ones.  A block with one row or one column has one Schmidt coefficient,
-    the squared norm of its entries; the others are turned to have no more
-    rows than columns and zero-padded into one stack.
+    n photons on side A meet N - n on side B.  Two side-A photon numbers that
+    meet one side-B photon number differ by a difference of totals, so the
+    blocks are the side-A photon-number classes modulo the gcd of those
+    differences (modulo N + 1, so n itself, for one total N).  A class may
+    join several connected blocks, which leaves its singular values as they
+    are.  A block's rows are the side-A occupations of its class, its columns
+    the side-B occupations they meet.  A block with one row or one column
+    has one Schmidt coefficient, the squared norm of its entries; the others
+    are turned to have no more rows than columns and zero-padded into one
+    stack.
 
     Returns (bins, thin_count, cells, shape).  Amplitudes viewed as pairs of
     floats, bins[2i] and bins[2i + 1] are the coefficient of occupation i's
@@ -183,31 +186,12 @@ def _block_layout(
     PartitionError unless the partition covers the modes.
     """
     partition.ensure_covers(mode_count)
-    top = max(totals)
-    # Union-find over photon numbers: side A's n is node n, side B's is top + 1 + n.
-    root = list(range(2 * top + 2))
-
-    def find(node: int) -> int:
-        while root[node] != node:
-            root[node] = root[root[node]]
-            node = root[node]
-        return node
-
-    for total in totals:
-        for n in range(total + 1):
-            root[find(n)] = find(top + 1 + total - n)
-    # Every edge has a side-A end, so numbering the side-A nodes' roots
-    # numbers every block.
-    block_of: dict[int, int] = {}
-    block_a = np.array(
-        [block_of.setdefault(find(n), len(block_of)) for n in range(top + 1)]
-    )
-
+    period = math.gcd(*(total - totals[0] for total in totals)) or max(totals) + 1
     places = []
     for total in totals:
         occupations = _sector_occupations(mode_count, total)
         counts = occupations[:, list(partition.side_a)].sum(axis=1)
-        places.append(np.stack([block_a[counts]] + [
+        places.append(np.stack([counts % period] + [
             _sector_index(mode_count, total, side)
             for side in (partition.side_a, partition.side_b)
         ]))
@@ -218,7 +202,7 @@ def _block_layout(
     for index in indices:
         span = int(index.max()) + 1
         keys, rank = np.unique(block * span + index, return_inverse=True)
-        size = np.bincount(keys // span, minlength=len(block_of))
+        size = np.bincount(keys // span, minlength=period)
         local.append(rank - (np.cumsum(size) - size)[block])
         extent.append(size)
     thin = np.minimum(*extent) == 1
@@ -318,23 +302,11 @@ def optimize_entanglement(
     for _ in range(cfg.restarts - 1):
         starts.append(rng.uniform(-math.pi, math.pi, n_params))
 
-    per_restart: list[float] = []
-    evaluations = 0
-    best_value: float | None = None
-    best_theta: np.ndarray | None = None
-    best_converged = False
-    for theta0 in starts:
-        theta, f_best, evals, converged = _lbfgs(objective, theta0, _MAX_ITERATIONS)
-        value = f_best if minimizing else -f_best
-        per_restart.append(value)
-        evaluations += evals
-        better = best_value is None or (
-            value < best_value if minimizing else value > best_value
-        )
-        if better:
-            best_value = value
-            best_theta = theta
-            best_converged = converged
+    runs = [_lbfgs(objective, theta0, _MAX_ITERATIONS) for theta0 in starts]
+    values = [f if minimizing else -f for _, f, _, _ in runs]
+    # min keeps the first of equal values: ties go to the lowest restart index.
+    best_theta, best_f, _, best_converged = min(runs, key=lambda run: run[1])
+    best_value = best_f if minimizing else -best_f
 
     best_unitary = exp_map(best_theta)
     best_spectrum = schmidt_spectrum(apply_redefinition(state, best_unitary), partition)
@@ -348,7 +320,7 @@ def optimize_entanglement(
         best_entropy_bits=best_value,
         best_unitary=best_unitary,
         best_spectrum=best_spectrum,
-        per_restart_values=tuple(per_restart),
-        evaluations=evaluations,
+        per_restart_values=tuple(values),
+        evaluations=sum(run[2] for run in runs),
         converged=best_converged,
     )

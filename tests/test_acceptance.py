@@ -5,6 +5,8 @@ fixtures and deterministic optimizer runs at seed 0 with 24 restarts);
 criteria 13-17 are randomized property suites with at least 200 cases each.
 """
 
+import contextlib
+import io
 import json
 import math
 
@@ -28,25 +30,35 @@ from fockmodes import (
     validate_unitary,
 )
 from fockmodes.cli import run_cli
-from fockmodes.suite import run_reference_suite
 
 from conftest import random_state, random_unitary, states_close
 
 
+SUITE_ARGV = ["paper-suite", "--json", "--seed", "0"]
+
+
 @pytest.fixture(scope="module")
-def reference_rows():
-    rows = run_reference_suite(seed=0)
-    return {row.row_id: row for row in rows}
+def suite_run():
+    """Exit code and stdout of one `paper-suite --json --seed 0` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli(SUITE_ARGV)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def reference_rows(suite_run):
+    return {row["id"]: row for row in json.loads(suite_run[1])["rows"]}
 
 
 def _check_criterion(number, description, rows, row_ids):
     failures = []
     for row_id in row_ids:
         row = rows[row_id]
-        if not row.passed:
+        if not row["pass"]:
             failures.append(
-                f"    row {row.row_id}: expected {row.expected!r}, "
-                f"computed {row.computed!r}, tol {row.tolerance!r}"
+                f"    row {row_id}: expected {row['expected']!r}, "
+                f"computed {row['computed']!r}, tol {row['tolerance']!r}"
             )
     verdict = "PASS" if not failures else "FAIL"
     print(f"criterion {number:>2} {verdict}: {description}")
@@ -226,7 +238,7 @@ def test_criterion_16_sandwich_and_ceiling():
           "(200 cases)")
 
 
-def test_criterion_17_round_trip_and_suite_determinism(capsys):
+def test_criterion_17_round_trip_and_suite_determinism(suite_run, capsys):
     rng = np.random.default_rng(17)
     for case in range(100):
         mode_count = int(rng.integers(1, 5))
@@ -236,9 +248,8 @@ def test_criterion_17_round_trip_and_suite_determinism(capsys):
         reference = canonicalize_phase(state)
         assert states_close(reference, recovered, 1e-6)
 
-    first_code = run_cli(["paper-suite", "--json", "--seed", "0"])
-    first_out = capsys.readouterr().out
-    second_code = run_cli(["paper-suite", "--json", "--seed", "0"])
+    first_code, first_out = suite_run
+    second_code = run_cli(SUITE_ARGV)
     second_out = capsys.readouterr().out
     assert first_out == second_out
     assert first_code == second_code == 0

@@ -145,6 +145,11 @@ def test_huge_coefficients_normalize_or_are_parse_errors(capsys):
     assert run_cli(argv) == 0
     entropy = json.loads(capsys.readouterr().out)["entropy_bits"]
     assert entropy == pytest.approx(1.0, abs=1e-12)
+    # Here the norm itself is past the float range.
+    argv = ["entropy", "1.5e308*|10> + 1.5e308*|01>", "--partition", "0|1", "--json"]
+    assert run_cli(argv) == 0
+    entropy = json.loads(capsys.readouterr().out)["entropy_bits"]
+    assert entropy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bad_unitary_file_is_parse_error(tmp_path, capsys):

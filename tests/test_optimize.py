@@ -74,6 +74,12 @@ def test_objective_matches_library_entropy(rng):
         cut = int(rng.integers(1, mode_count))
         part = Partition(tuple(sorted(modes[:cut])), tuple(sorted(modes[cut:])))
         cases.append((random_state(rng, mode_count, totals), part, 3))
+    # Side-A photon-number classes of period 3, and classes that join blocks.
+    cases += [
+        (random_state(rng, 3, (1, 4)), Partition((0,), (1, 2)), 3),
+        (random_state(rng, 3, (0, 1, 5)), Partition((0, 2), (1,)), 3),
+        (random_state(rng, 4, (0, 2, 5)), Partition((0, 1), (2, 3)), 3),
+    ]
     for state, part, points in cases:
         objective = entropy_objective(state, part)
         for _ in range(points):
@@ -82,6 +88,16 @@ def test_objective_matches_library_entropy(rng):
                 apply_redefinition(state, exp_map(theta)), part
             ).entropy_bits
             assert objective(theta) == pytest.approx(direct, abs=1e-12)
+
+
+def test_equal_restart_values_go_to_the_lowest_restart():
+    # Every redefinition leaves |00> as it is, so every restart reads 0.0 and
+    # restart 0, at the identity, wins.
+    for direction in ("min", "max"):
+        cfg = OptConfig(direction, restarts=4)
+        result = optimize_entanglement(parse_state("|00>"), Partition((0,), (1,)), cfg)
+        assert result.per_restart_values == (0.0,) * 4
+        assert np.array_equal(result.best_unitary.matrix, np.eye(2))
 
 
 def _spread_state(mode_count):

@@ -107,13 +107,14 @@ def coefficient_matrix(
     col_of = _restrictions(state, partition.side_b)
     rows = sorted(set(row_of), reverse=True)
     cols = sorted(set(col_of), reverse=True)
-    row_index = {occ: r for r, occ in enumerate(rows)}
-    col_index = {occ: c for c, occ in enumerate(cols)}
+    row_index = dict(zip(rows, range(len(rows))))
+    col_index = dict(zip(cols, range(len(cols))))
+    count = len(state.amplitudes)
     matrix = np.zeros((len(rows), len(cols)), dtype=complex)
     matrix[
-        list(map(row_index.__getitem__, row_of)),
-        list(map(col_index.__getitem__, col_of)),
-    ] = list(state.amplitudes.values())
+        np.fromiter(map(row_index.__getitem__, row_of), np.intp, count),
+        np.fromiter(map(col_index.__getitem__, col_of), np.intp, count),
+    ] = np.fromiter(state.amplitudes.values(), complex, count)
     return matrix, rows, cols
 
 

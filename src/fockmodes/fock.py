@@ -192,13 +192,17 @@ def sector_weights(state: PureState) -> dict[int, float]:
     return dict(sorted(weights.items()))
 
 
+def _lead_phase_factor(amplitudes: Mapping[Occupation, complex]) -> complex:
+    """Unit factor that makes the first canonical amplitude real-positive."""
+    lead = amplitudes[max(amplitudes)]
+    return (lead / abs(lead)).conjugate()
+
+
 def canonicalize_phase(state: PureState) -> PureState:
     """Multiply by a global phase so the first canonical amplitude is real-positive."""
     if not state.amplitudes:
         return state
-    lead = state.amplitudes[max(state.amplitudes)]
-    phase = lead / abs(lead)
-    factor = phase.conjugate()
+    factor = _lead_phase_factor(state.amplitudes)
     return PureState._of_checked(
         state.mode_count,
         state.amplitudes,

@@ -25,11 +25,20 @@ import re
 import numpy as np
 
 from .errors import KetParseError, UnitaryFileError
-from .fock import Occupation, PureState, canonicalize_phase, normalize, require_normalized
+from .fock import (
+    PRUNE_THRESHOLD,
+    Occupation,
+    PureState,
+    _lead_phase_factor,
+    normalize,
+    require_normalized,
+)
 from .transform import ModeUnitary, validate_unitary
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# Maps counts 0-9, as bytes, to their digit characters.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 # Token kinds: NUMBER, I, SQRT, KET, and the single-char operators.
 _OPS = {"+", "-", "*", "/", "(", ")"}
@@ -70,7 +79,7 @@ def _scan_ket(text: str, start: int) -> _Token:
             counts.append(int(stripped))
             offset += len(part) + 1
     else:
-        compact = body.replace(" ", "").replace("\t", "")
+        compact = "".join(body.split())
         if not compact:
             raise KetParseError("empty ket", start)
         if not is_uint(compact):
@@ -259,41 +268,55 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
     return normalize(state)
 
 
+def _digit_ket(occ: Occupation) -> str:
+    return bytes(occ).translate(_DIGITS).decode()
+
+
+def _comma_ket(occ: Occupation) -> str:
+    return ",".join(map(str, occ))
+
+
 def format_state(state: PureState, precision: int = 7) -> str:
     """Render a normalized state in canonical order.
 
     The global phase is canonicalized so the leading amplitude is real and
-    positive.  The output parses back to the same state within
+    positive.  Each amplitude is multiplied once by the lead's phase factor,
+    without a canonicalized copy of the state; a product below
+    PRUNE_THRESHOLD is left out, as `canonicalize_phase` would drop it, and
+    the kets take the comma form when a count kept exceeds 9.  Each term is
+    then one %-format.  The output parses back to the same state within
     10^(1-precision) per amplitude.
     """
     require_normalized(state)
-    canon = canonicalize_phase(state)
+    amplitudes = state.amplitudes
+    factor = _lead_phase_factor(amplitudes)
+    terms = [
+        (occ, amp)
+        for occ in state.support()
+        if abs(amp := amplitudes[occ] * factor) >= PRUNE_THRESHOLD
+    ]
+    # Counts above 9 need the comma form of a ket.  A dropped term may hold
+    # the only such count, so the form is read off the kept terms.
+    ket_of = _comma_ket if max(max(occ) for occ, _ in terms) > 9 else _digit_ket
     eps = 0.5 * 10.0 ** (-precision)
-    spec = f".{precision}f"
-    support = canon.support()
-    # Counts above 9 need the comma form of a ket.
-    separator = "," if max(map(max, support)) > 9 else ""
+    real_term = f" %s %.{precision}f*|%s>"
+    complex_term = f" + (%.{precision}f%+.{precision}fi)*|%s>"
 
     pieces: list[str] = []
-    for occ in support:
-        amp = canon.amplitudes[occ]
-        ket = f"|{separator.join(map(str, occ))}>"
-        if abs(amp.imag) < eps:
-            magnitude = abs(amp.real)
-            joiner = "+" if amp.real >= 0 else "-"
-            if abs(magnitude - 1.0) < eps:
-                body = ket
-            else:
-                body = f"{magnitude:{spec}}*{ket}"
+    for occ, amp in terms:
+        ket = ket_of(occ)
+        if abs(amp.imag) >= eps:
+            pieces.append(complex_term % (amp.real, amp.imag, ket))
+            continue
+        joiner = "+" if amp.real >= 0 else "-"
+        magnitude = abs(amp.real)
+        if abs(magnitude - 1.0) < eps:
+            pieces.append(f" {joiner} |{ket}>")
         else:
-            joiner = "+"
-            im_sign = "+" if amp.imag >= 0 else "-"
-            body = f"({amp.real:{spec}}{im_sign}{abs(amp.imag):{spec}}i)*{ket}"
-        if not pieces:
-            pieces.append(body if joiner == "+" else f"-{body}")
-        else:
-            pieces.append(f" {joiner} {body}")
-    return "".join(pieces)
+            pieces.append(real_term % (joiner, magnitude, ket))
+    # Every piece opens with " + " or " - "; the first keeps only a minus.
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def parse_unitary_file(content: bytes | str) -> ModeUnitary:

@@ -136,6 +136,13 @@ def test_bad_state_is_parse_error(capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_newline_inside_a_ket_is_whitespace(capsys):
+    # Whitespace inside a ket is insignificant: exit 0, no traceback.
+    argv = ["entropy", "|1\n0>", "--partition", "0|1", "--json"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["entropy_bits"] == 0.0
+
+
 def test_huge_coefficients_normalize_or_are_parse_errors(capsys):
     # 1e400 is past the float range: a positioned parse error.
     assert run_cli(["entropy", "1e400*|10> + |01>", "--partition", "0|1"]) == 3

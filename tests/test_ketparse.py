@@ -10,6 +10,7 @@ from fockmodes import (
     KetParseError,
     NotUnitaryError,
     ParseError,
+    PureState,
     UnitaryFileError,
     canonicalize_phase,
     format_state,
@@ -115,6 +116,31 @@ def test_parser_totality_arbitrary_unicode(text):
         assert 0 <= err.position <= len(text)
 
 
+@pytest.mark.parametrize("text", ["|1\n0>", "|1\r0>", "|1\x0b0>", "|1\xa00>"])
+def test_any_whitespace_inside_a_digit_ket_is_insignificant(text):
+    # Whitespace is insignificant inside a ket as everywhere else, not only
+    # spaces and tabs; none of these may end in StopIteration.
+    assert parse_state(text).amplitudes == {(1, 0): 1.0}
+
+
+WHITESPACE = " \t\n\r\x0b\xa0"
+
+
+@given(
+    st.text(alphabet="0123456789+-*/()|><,.isqrt" + WHITESPACE, max_size=20),
+    st.text(alphabet="0123456789," + WHITESPACE, max_size=10),
+    st.text(alphabet="0123456789+-*/()|><,.isqrt" + WHITESPACE, max_size=20),
+)
+@settings(max_examples=400, deadline=None)
+def test_parser_totality_with_any_whitespace(head, body, tail):
+    # One ket body of counts, commas and whitespace among arbitrary text.
+    text = f"{head}|{body}>{tail}"
+    try:
+        parse_state(text)
+    except KetParseError as err:
+        assert 0 <= err.position <= len(text)
+
+
 def test_parse_rejects_non_ascii_digits():
     # Characters like a superscript two satisfy str.isdigit() but are not
     # valid mode counts.
@@ -182,6 +208,97 @@ def test_format_round_trip_uniform_triple():
     state = parse_state("|11> + |20> + |02>")
     recovered = parse_state(format_state(state))
     assert abs(inner_product(state, recovered)) == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_format(state, precision=7):
+    """Term-by-term renderer of a phase-canonicalized copy, kept as the oracle
+    for `format_state`."""
+    canon = canonicalize_phase(state)
+    eps = 0.5 * 10.0 ** (-precision)
+    spec = f".{precision}f"
+    support = canon.support()
+    separator = "," if max(map(max, support)) > 9 else ""
+    pieces = []
+    for occ in support:
+        amp = canon.amplitudes[occ]
+        ket = f"|{separator.join(map(str, occ))}>"
+        if abs(amp.imag) < eps:
+            magnitude = abs(amp.real)
+            joiner = "+" if amp.real >= 0 else "-"
+            if abs(magnitude - 1.0) < eps:
+                body = ket
+            else:
+                body = f"{magnitude:{spec}}*{ket}"
+        else:
+            joiner = "+"
+            im_sign = "+" if amp.imag >= 0 else "-"
+            body = f"({amp.real:{spec}}{im_sign}{abs(amp.imag):{spec}}i)*{ket}"
+        if not pieces:
+            pieces.append(body if joiner == "+" else f"-{body}")
+        else:
+            pieces.append(f" {joiner} {body}")
+    return "".join(pieces)
+
+
+def edge_state(rng, precision):
+    """Random state whose amplitudes sit on the renderer's decision edges.
+
+    One to five terms in one to four modes, in digit or comma form, with
+    mixed totals.  Each term but a filler is Gaussian-like, has an
+    imaginary part within one ulp of the rounding half-width eps (either
+    sign), a modulus near the prune threshold or up to 5e-8, or a share of
+    a weight that leaves the filler within about eps of magnitude one.
+    The filler makes the norm one; it may sit anywhere, so the lead (the
+    first ket) is sometimes tiny.  Half of the states carry a global phase.
+    """
+    eps = 0.5 * 10.0 ** (-precision)
+    mode_count = int(rng.integers(1, 5))
+    high = int(rng.choice([3, 9, 12]))
+    occs = {
+        tuple(int(c) for c in rng.integers(0, high + 1, mode_count))
+        for _ in range(int(rng.integers(1, 6)))
+    }
+    near_eps = [eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)]
+    tiny = [1e-15, math.nextafter(1e-15, 1.0), 3e-15, 1e-12, 5e-8]
+    near_unit = rng.random() < 0.25
+    amps = []
+    for _ in range(len(occs) - 1):
+        # Every modulus is below 0.45, so four of them weigh less than one.
+        kind = 3 if near_unit else int(rng.integers(0, 3))
+        if kind == 0:
+            amp = 0.45 * rng.random() * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        elif kind == 1:
+            amp = complex(rng.uniform(-0.4, 0.4), rng.choice(near_eps) * rng.choice([-1, 1]))
+        elif kind == 2:
+            amp = rng.choice(tiny) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        else:
+            amp = math.sqrt(2.0 * eps * rng.choice([0.5, 1.0, 1.5]) / len(occs))
+        amps.append(complex(amp))
+    filler = math.sqrt(1.0 - sum(abs(a) ** 2 for a in amps)) * rng.choice([1, -1, 1j, -1j])
+    amps.insert(int(rng.integers(0, len(occs))), complex(filler))
+    if rng.random() < 0.5:
+        phase = complex(np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        amps = [a * phase for a in amps]
+    return PureState(mode_count, dict(zip(sorted(occs, reverse=True), amps)))
+
+
+@pytest.mark.parametrize("precision", [1, 7, 15])
+def test_format_matches_reference_renderer(precision):
+    rng = np.random.default_rng(1000 + precision)
+    for _ in range(700):
+        state = edge_state(rng, precision)
+        assert format_state(state, precision) == reference_format(state, precision)
+
+
+def test_format_drops_a_lead_that_the_phase_factor_prunes():
+    # |(1e-15 e^{i phi})|^2 / |1e-15 e^{i phi}| rounds below PRUNE_THRESHOLD,
+    # so the lead |10,0> is dropped and the digit form applies to the rest.
+    state = PureState(2, {
+        (10, 0): 1.5640617756767192e-17 - 9.998776780567646e-16j,
+        (0, 1): 0.9930469341054476 + 0.11771910067516933j,
+    })
+    assert format_state(state) == "(-0.1021728+0.9947667i)*|01>"
+    assert format_state(state) == reference_format(state)
 
 
 def test_unitary_file_round_trip():

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Per-layer time of one pass of the ``rewrite`` benchmark workload.
+
+    python3 tools/rewrite_layers.py --src PATH [--seed 131] [--repeat 9]
+
+Imports fockmodes from PATH (a checkout's ``src`` directory) and nowhere
+else, and draws the items of one pass from ``bench/workloads.py``'s
+``Rewrite(seed)`` in this checkout, so two trees see the same items.  Each
+item runs the chain parse_state -> exp_map -> apply_redefinition ->
+schmidt_spectrum -> rank_bound -> format_state, each layer ``--repeat``
+times on the previous layer's output.  Prints one JSON line per layer with
+its best-of-repeat ms per item summed over the pass, then one line with
+the total.  To compare two trees, alternate runs of this script on each.
+BLAS is pinned to one thread, as in ``bench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src", required=True, help="directory holding the fockmodes package"
+    )
+    parser.add_argument("--seed", type=int, default=131)
+    parser.add_argument("--repeat", type=int, default=9)
+    args = parser.parse_args()
+    if args.repeat < 1:
+        raise SystemExit("error: --repeat must be at least 1")
+
+    # Before numpy loads, which happens with the first fockmodes import.
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[variable] = "1"
+    src = Path(args.src).resolve()
+    if not (src / "fockmodes" / "__init__.py").is_file():
+        raise SystemExit(f"error: no fockmodes package under {src}")
+    sys.path[:0] = [str(src), str(BENCH)]
+    import fockmodes
+    from fockmodes import entanglement, ketparse, transform
+    from workloads import Rewrite
+
+    if Path(fockmodes.__file__).resolve().parent != src / "fockmodes":
+        raise SystemExit(f"error: imported fockmodes from {fockmodes.__file__}, not {src}")
+
+    items = Rewrite(args.seed).items
+    totals: dict[str, float] = {}
+
+    def layer(name, call):
+        """Time `call` `--repeat` times, add the fastest to `name`'s total."""
+        best = float("inf")
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            result = call()
+            best = min(best, time.perf_counter() - start)
+        totals[name] = totals.get(name, 0.0) + best * 1000.0
+        return result
+
+    for item in items:
+        cut = item["partition"]
+        state = layer("parse_state", lambda: ketparse.parse_state(item["text"]))
+        unitary = layer("exp_map", lambda: transform.exp_map(item["theta"]))
+        rewritten = layer(
+            "apply_redefinition", lambda: transform.apply_redefinition(state, unitary)
+        )
+        layer("schmidt_spectrum", lambda: entanglement.schmidt_spectrum(rewritten, cut))
+        layer("rank_bound", lambda: entanglement.rank_bound(rewritten, cut))
+        layer("format_state", lambda: ketparse.format_state(rewritten))
+
+    for name, ms in totals.items():
+        print(json.dumps({"layer": name, "ms": round(ms, 3), "items": len(items)}))
+    print(json.dumps({"total_ms": round(sum(totals.values()), 3), "items": len(items)}))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,9 +19,6 @@ from .fock import Occupation, PureState, require_normalized, sector_dimension
 # lambdas above this count toward the numerical Schmidt rank; sits between
 # double-precision noise and the smallest meaningful eigenvalue in practice.
 RANK_THRESHOLD = 1e-10
-# Eigenvalues in [-EIG_CLIP, 0) are rounding noise and get clipped to zero;
-# anything more negative indicates a bug, not noise.
-EIG_CLIP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,16 +115,6 @@ def coefficient_matrix(
     return matrix, rows, cols
 
 
-def clip_spectrum(values: np.ndarray) -> np.ndarray:
-    """Clip eigenvalue noise in [-EIG_CLIP, 0) to zero; reject anything worse."""
-    values = np.asarray(values, dtype=float)
-    if values.size and values.min() < -EIG_CLIP:
-        raise NumericalConsistencyError(
-            f"spectrum has eigenvalue {values.min():.3e} below -{EIG_CLIP:.0e}"
-        )
-    return np.clip(values, 0.0, 1.0)
-
-
 def _require_unit_sum(lambdas: np.ndarray) -> None:
     """Raise unless the Schmidt coefficients sum to one within 1e-10."""
     total = float(lambdas.sum())
@@ -151,7 +138,8 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
     require_normalized(state)
     matrix, _, _ = coefficient_matrix(state, partition)
     singulars = np.linalg.svd(matrix, compute_uv=False)
-    lambdas = clip_spectrum(singulars**2)
+    # Squares are never negative; only rounding can lift one above 1.
+    lambdas = np.minimum(singulars**2, 1.0)
     _require_unit_sum(lambdas)
     lambdas = np.sort(lambdas)[::-1]
     lambdas.setflags(write=False)

@@ -319,6 +319,17 @@ def format_state(state: PureState, precision: int = 7) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
+def _finite_number(value) -> float | None:
+    """A JSON number (not a boolean) as a finite float, else None."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_unitary_file(content: bytes | str) -> ModeUnitary:
     """Read the unitary JSON document {"dim": M, "rows": [[[re, im], ..], ..]}."""
     if isinstance(content, bytes):
@@ -336,25 +347,23 @@ def parse_unitary_file(content: bytes | str) -> ModeUnitary:
         raise UnitaryFileError("document must have 'dim' and 'rows' fields")
     dim = doc["dim"]
     rows = doc["rows"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise UnitaryFileError(f"'dim' must be a positive integer, got {dim!r}")
     if not isinstance(rows, list) or len(rows) != dim:
         raise UnitaryFileError(f"'rows' must be a list of {dim} rows")
-    matrix = np.zeros((dim, dim), dtype=complex)
+    # Filled entry by entry, so memory follows the document, not dim².
+    entries = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise UnitaryFileError(f"row {r} must be a list of {dim} entries")
         for c, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
+            parts = list(map(_finite_number, entry)) if isinstance(entry, list) else []
+            if len(parts) != 2 or None in parts:
                 raise UnitaryFileError(
-                    f"entry ({r}, {c}) must be a [re, im] pair of numbers"
+                    f"entry ({r}, {c}) must be a [re, im] pair of finite numbers"
                 )
-            matrix[r, c] = complex(entry[0], entry[1])
-    return validate_unitary(matrix, tol=1e-8)
+            entries.append(complex(*parts))
+    return validate_unitary(np.reshape(entries, (dim, dim)), tol=1e-8)
 
 
 def format_unitary_file(unitary: ModeUnitary) -> str:

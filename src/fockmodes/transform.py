@@ -253,10 +253,9 @@ class _Ladder:
     `mode_count` modes to s + 1 photons, grown on demand.
 
     Sector s lists its occupations in colex order of their sorted mode
-    multisets: for each mode L in turn, the occupations of sector s-1
-    supported on modes <= L, with one more photon in L.  The index of an
-    occupation is then a sum over its runs of binom[k, filled] -
-    binom[k, filled before the run].
+    multisets (ranked by ``_sector_index``): for each mode L in turn, the
+    occupations p of sector s-1 supported on modes <= L, with one more photon
+    in L.
 
     A vector on the ladder holds c(m) = psi(m) * sqrt(s! / prod_k m_k!)
     for a state psi of s photons, so multiplying psi by sum_k f_k b†_k is a
@@ -266,66 +265,64 @@ class _Ladder:
     k * D_{s-1} + index(m - e_k) of each occupied mode k in the outer
     product f ⊗ c (each position once), with the count m_k; `starts` marks
     where each occupation's entries begin, and `norms` =
-    sqrt(prod_k m_k! / s!) turns c back into amplitudes.
+    sqrt(prod_k m_k! / s!) turns c back into amplitudes.  D_s is the size
+    of sector s.
+
+    Each rung follows from the one below.  For m = p + e_L, every entry of p
+    for a mode k < L keeps its count and moves into block L of sector s-1,
+    which starts at offset(L): k * D_{s-2} + index(p - e_k) becomes
+    k * D_{s-1} + offset(L) + index(p - e_k).  The entry of L is
+    L * D_{s-1} + index(p) with count p_L + 1; it replaces p's trailing
+    entry when p_L > 0, that is when p lies in block L itself, and follows
+    the moved entries otherwise.
     """
 
     def __init__(self, mode_count: int):
         self.mode_count = mode_count
         modes = np.arange(mode_count)
         ones = np.ones(mode_count, dtype=np.intp)
-        first = (modes, modes, ones, ones.astype(float))
-        # The rungs so far and the occupied modes, counts and norms of the top
-        # sector, replaced together so a reader never sees one without the other.
-        self._grown = (first,), (modes[:, None], ones[:, None], first[3])
+        # Replaced whole, so a reader never sees a half-grown tuple.
+        self._rungs = ((modes, modes, ones, ones.astype(float)),)
 
     def rungs(self, top: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """Rungs (gather, starts, counts, norms) into sectors 1..top;
         SizeLimitError past LADDER_ROW_LIMIT."""
         mode_count = self.mode_count
-        size = math.comb(top + mode_count, mode_count)
-        if size > LADDER_ROW_LIMIT:
+        rows = math.comb(top + mode_count, mode_count)
+        if rows > LADDER_ROW_LIMIT:
             raise SizeLimitError(
-                f"{top} photons in {mode_count} modes need {size} ladder rows, "
+                f"{top} photons in {mode_count} modes need {rows} ladder rows, "
                 f"above the limit of {LADDER_ROW_LIMIT}"
             )
-        rungs, (modes, counts, norms) = self._grown
+        rungs = self._rungs
         if len(rungs) >= top:
             return rungs[:top]
         binom = _binomials(mode_count, top)
         for total in range(len(rungs) + 1, top + 1):
+            gather, starts, counts, norms = rungs[-1]
+            lower, size = binom[-1, total - 2 : total]
+            # Block L takes the grow[L] parents p on modes <= L; those from
+            # offset(L) = grow[L - 1] on form block L below and hold L already.
             grow = binom[:, total - 1]
             added = np.repeat(np.arange(mode_count), grow)
+            offset = np.repeat(grow - binom[:, total - 2], grow)
             parent = np.arange(added.size) - np.repeat(np.cumsum(grow) - grow, grow)
-            runs = (counts > 0).sum(axis=1)[parent]
-            width = modes.shape[1]
-            grown = np.zeros((2, added.size, min(total, mode_count)), dtype=np.intp)
-            grown[0, :, :width] = modes[parent]
-            grown[1, :, :width] = counts[parent]
-            modes, counts = grown
-            rows = np.arange(added.size)
-            same = modes[rows, runs - 1] == added
-            runs[~same] += 1
-            modes[rows, runs - 1] = added
-            counts[rows, runs - 1] += 1
-            norms = norms[parent] * np.sqrt(counts[rows, runs - 1] / total)
-            # Removing a photon of mode k shortens its run and shifts every
-            # later run down by one.
-            filled = np.cumsum(counts, axis=1)
-            before = filled - counts
-            own = binom[modes, filled] - binom[modes, before]
-            shifted = binom[modes, filled - 1] - binom[modes, np.maximum(before - 1, 0)]
-            lower = (
-                np.cumsum(own, axis=1) - own
-                + binom[modes, filled - 1] - binom[modes, before]
-                + np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1] - shifted
-            )
-            # Runs are packed to the left, so row-major order keeps each
-            # occupation's entries together.
-            occupied = counts > 0
-            gather = (modes * binom[-1, total - 1] + lower)[occupied]
-            starts = np.cumsum(runs) - runs
-            rungs += ((gather, starts, counts[occupied], norms),)
-        self._grown = rungs, (modes, counts, norms)
+            first = starts[parent]
+            runs = np.diff(starts, append=gather.size)[parent]
+            held = parent >= offset
+            # The parents' entries for modes below L, moved into block L.
+            kept = runs - held
+            ends = np.cumsum(kept)
+            moved = np.arange(ends[-1]) + np.repeat(first - ends + kept, kept)
+            entries = gather[moved]
+            entries += entries // lower * (size - lower) + np.repeat(offset, kept)
+            # Each occupation's entry for L comes last.
+            count_l = counts[first + runs - 1] * held + 1
+            gather = np.insert(entries, ends, added * size + parent)
+            counts = np.insert(counts[moved], ends, count_l)
+            norms = norms[parent] * np.sqrt(count_l / total)
+            rungs += ((gather, ends - kept + np.arange(ends.size), counts, norms),)
+        self._rungs = rungs
         return rungs
 
 
@@ -357,7 +354,14 @@ def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
 def _sector_index(mode_count: int, total: int, modes: tuple[int, ...]) -> np.ndarray:
     """For each occupation of sector `total`, in ladder order, the index of
     its restriction to `modes` among all occupations of those modes, ordered
-    by photon number and then as on the ladder."""
+    by photon number and then as on the ladder.
+
+    On the ladder the n photons of an occupation on modes 0..k with a top
+    photon in k follow the binom[k - 1, n] occupations on modes below k;
+    peeling off the top photons one at a time and summing these offsets by
+    the hockey-stick identity ranks an occupation with f_k photons on modes
+    <= k at the sum over k of binom[k, f_k] - binom[k, f_{k-1}].
+    """
     counts = _sector_occupations(mode_count, total)[:, modes]
     filled = np.cumsum(counts, axis=1)
     width = len(modes)
@@ -378,18 +382,17 @@ def _rewriter(state: PureState):
     sum_k subst[j, k] b†_k.
 
     All that depends only on the state is prepared here once: the ladder
-    rungs and each sector's terms in batches of (picks, start, gathers).  A
-    term takes one step per photon, old modes in increasing order.  Row
+    rungs and each sector's terms in batches of (picks, gathers).  A term
+    takes one step per photon, old modes in increasing order.  Row
     step * T + i of `picks` selects, for term i of T, the old mode of that
     step (one nonzero entry), so picks @ subst gives every step's factor
     row at once.  The entry is sqrt(s + 1) / sqrt(c) for the step into
     sector s + 1 that adds the c-th photon of its mode: the sqrt(s + 1) of
     the ladder's scaling, and 1/sqrt(c) to keep every partial state a unit
     vector.  The term's amplitude and its last step's entry ride on its
-    first pick.  `start` is the vector over the vacuum
-    sector: ones, or for the vacuum sector itself, which takes no step, its
-    amplitude.  The gathers are the middle steps' rung positions, offset to
-    each term's block of the (term, mode, occupation) outer product.  A
+    first pick.  The gathers are the middle steps' rung positions, offset to
+    each term's block of the (term, mode, occupation) outer product.  The
+    vacuum sector takes no step, and its plan is its amplitude array.  A
     state whose largest sector of N photons in M modes needs more than
     LADDER_ROW_LIMIT ladder rows raises SizeLimitError here.
     """
@@ -404,7 +407,7 @@ def _rewriter(state: PureState):
         terms = sectors[total]
         amps = np.array([amp for _, amp in terms])
         if total == 0:
-            plans.append([(None, amps[:, None], [])])
+            plans.append(amps)
             continue
         shape = (len(terms), total)
         steps = np.array(
@@ -428,35 +431,37 @@ def _rewriter(state: PureState):
                 rung[0] + blocks * (mode_count * below[1].size)
                 for below, rung in zip(rungs[: total - 2], rungs[1 : total - 1])
             ]
-            batches.append((picks.reshape(-1, mode_count), np.ones((count, 1)), gathers))
+            batches.append((picks.reshape(-1, mode_count), gathers))
         plans.append(batches)
 
     def rewrite(subst: np.ndarray) -> np.ndarray:
-        parts = [_climb(subst, batches, rungs) for batches in plans]
+        parts = [
+            _climb(subst, plan, rungs, total) if total else plan
+            for total, plan in zip(totals, plans)
+        ]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
     return totals, rewrite
 
 
-def _climb(subst: np.ndarray, batches, rungs) -> np.ndarray:
-    """Amplitudes over one sector, in ladder order, of the sector's terms
-    with every old a†_j replaced by sum_k subst[j, k] b†_k."""
+def _climb(subst: np.ndarray, batches, rungs, total: int) -> np.ndarray:
+    """Amplitudes over sector `total` >= 1, in ladder order, of the sector's
+    terms with every old a†_j replaced by sum_k subst[j, k] b†_k.
+
+    Each batch climbs from the vacuum, a vector of ones over its terms;
+    sector 1 is in mode order, so past one photon the first step is the
+    factor row itself."""
     amplitudes = None
-    for picks, start, gathers in batches:
-        if picks is None:
-            part = start[:, 0]
-        else:
-            factors = np.dot(picks, subst).reshape(-1, len(start), len(subst))
-            total = len(factors)
-            # Sector 1 is in mode order, so the first step is the factor row.
-            climbed = factors[0] if total > 1 else start
-            for step, gather in enumerate(gathers, start=1):
-                outer = factors[step][:, :, None] * climbed[:, None, :]
-                climbed = np.add.reduceat(outer.ravel()[gather], rungs[step][1], axis=1)
-            # The last step sums the terms in one matrix product before its gather.
-            gather, starts, _, norms = rungs[total - 1]
-            folded = np.dot(factors[-1].T, climbed).ravel()[gather]
-            part = np.add.reduceat(folded, starts) * norms
+    for picks, gathers in batches:
+        factors = np.dot(picks, subst).reshape(total, -1, len(subst))
+        climbed = factors[0] if total > 1 else np.ones((factors.shape[1], 1))
+        for step, gather in enumerate(gathers, start=1):
+            outer = factors[step][:, :, None] * climbed[:, None, :]
+            climbed = np.add.reduceat(outer.ravel()[gather], rungs[step][1], axis=1)
+        # The last step sums the terms in one matrix product before its gather.
+        gather, starts, _, norms = rungs[total - 1]
+        folded = np.dot(factors[-1].T, climbed).ravel()[gather]
+        part = np.add.reduceat(folded, starts) * norms
         amplitudes = part if amplitudes is None else amplitudes + part
     return amplitudes
 

@@ -166,6 +166,20 @@ def test_bad_unitary_file_is_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    ['{"dim": true, "rows": [[[1, 0]]]}', '{"dim": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400)],
+    ids=["boolean-dim", "huge-entry"],
+)
+def test_unitary_file_out_of_json_range_is_parse_error(tmp_path, capsys, doc):
+    path = tmp_path / "hostile.json"
+    path.write_text(doc)
+    assert run_cli(["transform", "|1>", "--unitary", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_partition_not_covering_is_usage_error(capsys):
     assert run_cli(["entropy", "|01>+|10>", "--partition", "0|2"]) == 2
     argv = ["optimize", "|110>+|011>", "--partition", "0|1", "--direction", "max"]

@@ -7,6 +7,7 @@ import json
 import math
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +118,62 @@ def test_fuzz_optimize(case, direction):
     text, cut = case
     run_case(["optimize", text, "--partition", cut, "--direction", direction,
               "--restarts", "1", "--json"])
+
+
+# JSON values that a unitary entry or 'dim' must not pass for a number:
+# booleans, integers past float range, NaN and infinities, and non-numbers.
+HOSTILE_NUMBERS = st.one_of(
+    st.booleans(),
+    st.integers(309, 400).map(lambda exponent: 10**exponent),
+    st.sampled_from([math.nan, math.inf, -math.inf, -(10**400), None, "1", [1]]),
+)
+DOCUMENT_KINDS = (
+    "unitary", "other-modes", "hostile-entry", "hostile-dim", "ragged-row",
+    "mis-sized", "bad-pair", "non-unitary",
+)
+
+
+@st.composite
+def unitary_documents(draw, mode_count: int) -> str:
+    """A unitary JSON document meant for `mode_count` modes: a permutation
+    with phases, maybe spoiled by a hostile number, a ragged row, a wrong
+    number of rows, an entry that is not a pair, or a non-unitary entry."""
+    kind = draw(st.sampled_from(DOCUMENT_KINDS))
+    dim = mode_count + (kind == "other-modes")
+    order = draw(st.permutations(range(dim)))
+    phases = st.sampled_from([[1, 0], [-1, 0], [0, 1], [0.0, -1.0]])
+    rows = [
+        [list(draw(phases)) if c == order[r] else [0, 0] for c in range(dim)]
+        for r in range(dim)
+    ]
+    r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    if kind == "hostile-entry":
+        rows[r][c][draw(st.integers(0, 1))] = draw(HOSTILE_NUMBERS)
+    elif kind == "hostile-dim":
+        dim = draw(st.one_of(HOSTILE_NUMBERS, st.sampled_from([0, -1, dim + 1, 1.0])))
+    elif kind == "ragged-row":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + [[0, 0]]
+    elif kind == "mis-sized":
+        rows = rows[:-1] if draw(st.booleans()) else rows + [rows[0]]
+    elif kind == "bad-pair":
+        rows[r][c] = rows[r][c][:1] if draw(st.booleans()) else rows[r][c] + [0]
+    elif kind == "non-unitary":
+        rows[r][c] = [draw(st.floats(-3, 3)), draw(st.floats(-3, 3))]
+    return json.dumps({"dim": dim, "rows": rows})
+
+
+@pytest.fixture(scope="module")
+def unitary_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "unitary.json"
+
+
+@given(
+    kets(max_modes=4, max_count=3, max_terms=3, max_photons=6).flatmap(
+        lambda ket: st.tuples(st.just(ket[0]), unitary_documents(ket[1]))
+    ),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzz_transform(unitary_path, case):
+    text, document = case
+    unitary_path.write_text(document)
+    run_case(["transform", text, "--unitary", str(unitary_path), "--json"])

@@ -330,6 +330,21 @@ def test_unitary_file_errors():
         )
     assert err.value.residual is not None
     assert isinstance(err.value, Exception)
+    # Booleans are not numbers here, and every entry must be a finite float.
+    huge = "1" + "0" * 400
+    for doc in [
+        '{"dim": true, "rows": [[[1, 0]]]}',
+        '{"dim": 1, "rows": [[[true, false]]]}',
+        '{"dim": 1, "rows": [[[%s, 0]]]}' % huge,
+        '{"dim": 1, "rows": [[[0, -%s]]]}' % huge,
+        '{"dim": 1, "rows": [[[NaN, 0]]]}',
+        '{"dim": 1, "rows": [[[1, Infinity]]]}',
+        '{"dim": 1, "rows": [[[1e400, 0]]]}',
+        # Rows are checked before any dim x dim array is allocated.
+        '{"dim": 100000, "rows": [%s]}' % ", ".join(["[]"] * 100000),
+    ]:
+        with pytest.raises(UnitaryFileError):
+            parse_unitary_file(doc)
 
 
 def test_parse_errors_are_parse_error_subclass():

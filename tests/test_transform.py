@@ -229,6 +229,58 @@ def test_deep_ladder_amplitudes_match_permanent_oracle(ket):
             assert abs(rewritten.amplitudes.get(target, 0j) - expected) < 1e-10
 
 
+def ladder_by_definition(mode_count, top):
+    """Rungs (gather, starts, counts, norms) into sectors 1..top, entry by
+    entry: sectors list sorted mode multisets in colex order, and occupation
+    m of sector s has, for each occupied mode k, the entry
+    k * D_{s-1} + index(m - e_k) with count m_k, and the norm
+    sqrt(prod_k m_k! / s!)."""
+    sectors = [
+        sorted(
+            itertools.combinations_with_replacement(range(mode_count), total),
+            key=lambda multiset: multiset[::-1],
+        )
+        for total in range(top + 1)
+    ]
+    rungs = []
+    for total in range(1, top + 1):
+        below = {multiset: i for i, multiset in enumerate(sectors[total - 1])}
+        gather, starts, counts, norms = [], [], [], []
+        for multiset in sectors[total]:
+            starts.append(len(gather))
+            for k in sorted(set(multiset)):
+                lowered = list(multiset)
+                lowered.remove(k)
+                gather.append(k * len(below) + below[tuple(lowered)])
+                counts.append(multiset.count(k))
+            factorials = math.prod(math.factorial(c) for c in counts[starts[-1]:])
+            norms.append(math.sqrt(factorials / math.factorial(total)))
+        rungs.append((gather, starts, counts, norms))
+    return rungs
+
+
+@pytest.mark.parametrize(
+    "mode_count, top",
+    [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (40, 2), (2, 60)],
+)
+def test_ladder_rungs_match_their_definition(mode_count, top):
+    from fockmodes.transform import _Ladder
+
+    expected = ladder_by_definition(mode_count, top)
+    grown = _Ladder(mode_count)
+    for total in range(1, top):
+        grown.rungs(total)
+    # Built at once and grown one photon at a time, the tables agree.
+    for rungs in (_Ladder(mode_count).rungs(top), grown.rungs(top)):
+        assert len(rungs) == top
+        for rung, (gather, starts, counts, norms) in zip(rungs, expected):
+            assert all(array.dtype == np.intp for array in rung[:3])
+            assert np.array_equal(rung[0], gather)
+            assert np.array_equal(rung[1], starts)
+            assert np.array_equal(rung[2], counts)
+            np.testing.assert_allclose(rung[3], norms, rtol=1e-13)
+
+
 def test_rewrite_in_batches_of_one_term_matches_one_batch(monkeypatch, rng):
     # Many-term states climb in several batches; force that path here.
     from fockmodes import transform

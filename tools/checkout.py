@@ -1,0 +1,31 @@
+"""Import fockmodes from one checkout's ``src`` directory and nowhere else.
+
+The tools that compare two trees by alternating runs take ``--src PATH``
+and call ``use_src(PATH)`` before their first fockmodes import.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+
+def use_src(path: str) -> None:
+    """Pin BLAS to one thread, as in ``bench/run.py``, so timings do not
+    switch between one- and two-thread modes from process to process; put
+    the resolved `path` first on ``sys.path``; import fockmodes and check
+    that it came from there.  Exits with an error when `path` holds no
+    fockmodes package or another one was imported.
+    """
+    # Before numpy loads, which happens with the first fockmodes import.
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[variable] = "1"
+    src = Path(path).resolve()
+    if not (src / "fockmodes" / "__init__.py").is_file():
+        raise SystemExit(f"error: no fockmodes package under {src}")
+    sys.path.insert(0, str(src))
+    import fockmodes
+
+    if Path(fockmodes.__file__).resolve().parent != src / "fockmodes":
+        raise SystemExit(f"error: imported fockmodes from {fockmodes.__file__}, not {src}")

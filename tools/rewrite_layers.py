@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
+
+from checkout import use_src
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,19 +38,10 @@ def main() -> None:
     if args.repeat < 1:
         raise SystemExit("error: --repeat must be at least 1")
 
-    # Before numpy loads, which happens with the first fockmodes import.
-    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[variable] = "1"
-    src = Path(args.src).resolve()
-    if not (src / "fockmodes" / "__init__.py").is_file():
-        raise SystemExit(f"error: no fockmodes package under {src}")
-    sys.path[:0] = [str(src), str(BENCH)]
-    import fockmodes
+    use_src(args.src)
+    sys.path.insert(1, str(BENCH))
     from fockmodes import entanglement, ketparse, transform
     from workloads import Rewrite
-
-    if Path(fockmodes.__file__).resolve().parent != src / "fockmodes":
-        raise SystemExit(f"error: imported fockmodes from {fockmodes.__file__}, not {src}")
 
     items = Rewrite(args.seed).items
     totals: dict[str, float] = {}

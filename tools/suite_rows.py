@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import sys
 import time
-from pathlib import Path
+
+from checkout import use_src
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -30,17 +30,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    # Before numpy loads, which happens with the first fockmodes import.
-    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[variable] = "1"
-    src = Path(args.src).resolve()
-    if not (src / "fockmodes" / "__init__.py").is_file():
-        raise SystemExit(f"error: no fockmodes package under {src}")
-    sys.path.insert(0, str(src))
+    use_src(args.src)
     import fockmodes.suite as suite
-
-    if Path(suite.__file__).resolve().parent != src / "fockmodes":
-        raise SystemExit(f"error: imported fockmodes from {suite.__file__}, not {src}")
 
     calls = []
     optimize = suite.optimize_entanglement

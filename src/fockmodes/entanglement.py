@@ -137,11 +137,10 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
     """Squared singular values of the coefficient matrix, descending, plus entropy."""
     require_normalized(state)
     matrix, _, _ = coefficient_matrix(state, partition)
-    singulars = np.linalg.svd(matrix, compute_uv=False)
-    # Squares are never negative; only rounding can lift one above 1.
-    lambdas = np.minimum(singulars**2, 1.0)
+    # Descending, as the SVD returns them.  Squares are never negative; only
+    # rounding can lift one above 1.
+    lambdas = np.minimum(np.linalg.svd(matrix, compute_uv=False) ** 2, 1.0)
     _require_unit_sum(lambdas)
-    lambdas = np.sort(lambdas)[::-1]
     lambdas.setflags(write=False)
     return SchmidtSpectrum(
         lambdas=lambdas,

@@ -9,8 +9,9 @@ positions into the input)::
             | '|' uint (',' uint)* '>'  comma form, arbitrary counts
     coef   := additive expression over decimal literals, 'i',
               'sqrt(<unsigned int>)', unary '-', binary '*' '/' '+' '-',
-              and parentheses; a decimal literal immediately followed by
-              'i' (as in '0.5i') is an imaginary literal.
+              and parentheses nested at most MAX_NESTING (100) deep; a
+              decimal literal immediately followed by 'i' (as in '0.5i')
+              is an imaginary literal.
 
 Like kets merge by summing coefficients, and a merged coefficient must have
 a finite modulus.  The result is normalized unless ``raw=True``.
@@ -35,29 +36,20 @@ from .fock import (
 )
 from .transform import ModeUnitary, validate_unitary
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# One token after optional whitespace, tried in this order: an operator, a
+# ket's opening '|', a decimal literal, a name, or any other character.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<op>[-+*/()])|(?P<ket>\|)"
+    r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_]\w*)|(?P<other>\S))"
+)
+# Parentheses a coefficient may nest; each level costs four stack frames.
+MAX_NESTING = 100
 # Maps counts 0-9, as bytes, to their digit characters.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
-# Token kinds: NUMBER, I, SQRT, KET, and the single-char operators.
-_OPS = {"+", "-", "*", "/", "(", ")"}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value=None):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        self.value = value
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.pos})"
-
-
-def _scan_ket(text: str, start: int) -> _Token:
+def _scan_ket(text: str, start: int) -> tuple[Occupation, int]:
+    """The counts of the ket opening at `start`, and the offset past its '>'."""
     end = text.find(">", start)
     if end < 0:
         raise KetParseError("unterminated ket, missing '>'", start)
@@ -90,165 +82,158 @@ def _scan_ket(text: str, start: int) -> _Token:
                 f"unexpected character {body[bad]!r} inside ket", start + 1 + bad
             )
         counts = [int(ch) for ch in compact]
-    return _Token("KET", text[start : end + 1], start, tuple(counts))
+    return tuple(counts), end + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, object, int, int]]:
+    """Every token of `text` as (kind, value, start, end), then two EOF
+    tokens, so that the parser may look one token ahead of EOF and step onto
+    it without a bounds check.  The kind is the operator itself, 'i',
+    'sqrt', 'NUMBER' (value the float), 'KET' (value the counts) or 'EOF'.
+    """
+    tokens = []
     pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        if ch == "|":
-            tok = _scan_ket(text, pos)
-            tokens.append(tok)
-            pos += len(tok.text)
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), pos, float(m.group())))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            name = m.group()
-            if name == "i":
-                tokens.append(_Token("I", name, pos))
-            elif name == "sqrt":
-                tokens.append(_Token("SQRT", name, pos))
-            else:
-                raise KetParseError(f"unknown identifier {name!r}", pos)
-            pos = m.end()
-            continue
-        raise KetParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+    while match := _TOKEN_RE.match(text, pos):
+        kind = match.lastgroup
+        start, pos, lexeme = match.start(kind), match.end(), match[kind]
+        if kind == "ket":
+            counts, pos = _scan_ket(text, start)
+            tokens.append(("KET", counts, start, pos))
+        elif kind == "number":
+            tokens.append(("NUMBER", float(lexeme), start, pos))
+        elif kind == "name" and lexeme not in ("i", "sqrt"):
+            raise KetParseError(f"unknown identifier {lexeme!r}", start)
+        elif kind == "other":
+            raise KetParseError(f"unexpected character {lexeme!r}", start)
+        else:
+            tokens.append((lexeme, None, start, pos))
+    eof = ("EOF", None, len(text), len(text))
+    return tokens + [eof, eof]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.idx + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.tokens[self.idx + ahead]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        if tok.kind != "EOF":
-            self.idx += 1
-        return tok
+    def advance(self) -> tuple:
+        self.idx += 1
+        return self.tokens[self.idx - 1]
+
+    def lexeme(self, token: tuple) -> str:
+        return self.text[token[2] : token[3]]
 
     def parse_state(self) -> list[tuple[complex, Occupation, int]]:
         terms = []
         sign = 1.0
-        if self.peek().kind in ("+", "-"):
-            if self.advance().kind == "-":
+        if self.peek()[0] in ("+", "-"):
+            if self.advance()[0] == "-":
                 sign = -1.0
         terms.append(self.parse_term(sign))
-        while self.peek().kind in ("+", "-"):
-            sign = 1.0 if self.advance().kind == "+" else -1.0
+        while self.peek()[0] in ("+", "-"):
+            sign = 1.0 if self.advance()[0] == "+" else -1.0
             terms.append(self.parse_term(sign))
         tok = self.peek()
-        if tok.kind != "EOF":
-            raise KetParseError(f"unexpected {tok.text!r}", tok.pos)
+        if tok[0] != "EOF":
+            raise KetParseError(f"unexpected {self.lexeme(tok)!r}", tok[2])
         return terms
 
     def parse_term(self, sign: float) -> tuple[complex, Occupation, int]:
-        tok = self.peek()
-        if tok.kind == "KET":
+        kind, counts, start, _ = self.peek()
+        if kind == "KET":
             self.advance()
-            return complex(sign), tok.value, tok.pos
+            return complex(sign), counts, start
         coeff = self.parse_additive()
-        star = self.peek()
-        if star.kind != "*":
-            raise KetParseError("expected '*' between coefficient and ket", star.pos)
+        if self.peek()[0] != "*":
+            raise KetParseError(
+                "expected '*' between coefficient and ket", self.peek()[2]
+            )
         self.advance()
-        ket = self.peek()
-        if ket.kind != "KET":
-            raise KetParseError("expected a ket after '*'", ket.pos)
-        self.advance()
-        return sign * coeff, ket.value, ket.pos
+        kind, counts, start, _ = self.advance()
+        if kind != "KET":
+            raise KetParseError("expected a ket after '*'", start)
+        return sign * coeff, counts, start
 
     def parse_additive(self) -> complex:
         value = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
             rhs = self.parse_multiplicative()
-            value = value + rhs if op.kind == "+" else value - rhs
+            value = value + rhs if op == "+" else value - rhs
         return value
 
     def parse_multiplicative(self) -> complex:
         value = self.parse_unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "*" and self.peek(1).kind == "KET":
+            kind, _, start, _ = self.peek()
+            if kind == "*" and self.peek(1)[0] == "KET":
                 # This '*' binds the whole coefficient to the ket.
                 return value
-            if tok.kind not in ("*", "/"):
+            if kind not in ("*", "/"):
                 return value
             self.advance()
             rhs = self.parse_unary()
-            if tok.kind == "*":
+            if kind == "*":
                 value = value * rhs
             else:
                 if rhs == 0:
-                    raise KetParseError("division by zero in coefficient", tok.pos)
+                    raise KetParseError("division by zero in coefficient", start)
                 value = value / rhs
 
     def parse_unary(self) -> complex:
         sign = 1.0
-        while self.peek().kind == "-":
+        while self.peek()[0] == "-":
             self.advance()
             sign = -sign
         return sign * self.parse_atom()
 
     def parse_atom(self) -> complex:
-        tok = self.advance()
-        if tok.kind == "NUMBER":
-            nxt = self.peek()
-            if nxt.kind == "I" and nxt.pos == tok.pos + len(tok.text):
+        tok = kind, value, start, end = self.advance()
+        if kind == "NUMBER":
+            follower = self.peek()
+            if follower[0] == "i" and follower[2] == end:
                 self.advance()
-                return complex(0.0, tok.value)
-            return complex(tok.value)
-        if tok.kind == "I":
+                return complex(0.0, value)
+            return complex(value)
+        if kind == "i":
             return 1j
-        if tok.kind == "SQRT":
-            if self.peek().kind != "(":
-                raise KetParseError("expected '(' after sqrt", self.peek().pos)
+        if kind == "sqrt":
+            if self.peek()[0] != "(":
+                raise KetParseError("expected '(' after sqrt", self.peek()[2])
             self.advance()
-            arg = self.peek()
-            if arg.kind != "NUMBER" or "." in arg.text or "e" in arg.text.lower():
+            arg = self.advance()
+            if arg[0] != "NUMBER" or not self.lexeme(arg).isdigit():
+                raise KetParseError("sqrt takes an unsigned integer literal", arg[2])
+            if self.peek()[0] != ")":
+                raise KetParseError("expected ')' to close sqrt", self.peek()[2])
+            self.advance()
+            return complex(np.sqrt(arg[1]))
+        if kind == "(":
+            if self.depth == MAX_NESTING:
                 raise KetParseError(
-                    "sqrt takes an unsigned integer literal", arg.pos
+                    f"parentheses nested deeper than {MAX_NESTING}", start
                 )
-            self.advance()
-            if self.peek().kind != ")":
-                raise KetParseError("expected ')' to close sqrt", self.peek().pos)
-            self.advance()
-            return complex(np.sqrt(arg.value))
-        if tok.kind == "(":
+            self.depth += 1
             value = self.parse_additive()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise KetParseError("expected ')'", closing.pos)
+            if self.peek()[0] != ")":
+                raise KetParseError("expected ')'", self.peek()[2])
             self.advance()
+            self.depth -= 1
             return value
         raise KetParseError(
-            f"expected a number, 'i', sqrt(...), '(' or a ket, got {tok.text!r}",
-            tok.pos,
+            f"expected a number, 'i', sqrt(...), '(' or a ket, got {self.lexeme(tok)!r}",
+            start,
         )
 
 
 def parse_state(text: str, *, raw: bool = False) -> PureState:
     """Parse a ket expression into a PureState (normalized unless raw)."""
-    terms = _Parser(_tokenize(text)).parse_state()
+    terms = _Parser(text).parse_state()
     mode_count = len(terms[0][1])
     first_pos = terms[0][2]
     merged: dict[Occupation, complex] = {}
@@ -260,7 +245,8 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
         value = merged[occ] = merged.get(occ, 0j) + coeff
         if not math.isfinite(math.hypot(value.real, value.imag)):
             raise KetParseError("coefficient is not a number or too large", pos)
-    state = PureState(mode_count, merged)
+    # The parser made every occupation, a tuple of ints of equal length.
+    state = PureState._of_checked(mode_count, merged, merged.values())
     if not state.amplitudes:
         raise KetParseError("state is zero after merging like terms", first_pos)
     if raw:

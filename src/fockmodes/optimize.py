@@ -43,6 +43,8 @@ from .transform import (
 _MAX_PARAMETERS = 144
 # L-BFGS iterations per restart before it is reported as not converged.
 _MAX_ITERATIONS = 4000
+# Restarts one run may ask for, so that every run ends in bounded time.
+MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class OptConfig:
     def __post_init__(self):
         if self.direction not in ("min", "max"):
             raise ValueError(f"direction must be 'min' or 'max', got {self.direction!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must be from 1 to {MAX_RESTARTS}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -298,11 +300,15 @@ def optimize_entanglement(
     objective = entropy if minimizing else (lambda theta: -entropy(theta))
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(n_params)]
-    for _ in range(cfg.restarts - 1):
-        starts.append(rng.uniform(-math.pi, math.pi, n_params))
-
-    runs = [_lbfgs(objective, theta0, _MAX_ITERATIONS) for theta0 in starts]
+    # Each start is drawn as its restart begins, in restart order.
+    runs = [
+        _lbfgs(
+            objective,
+            rng.uniform(-math.pi, math.pi, n_params) if restart else np.zeros(n_params),
+            _MAX_ITERATIONS,
+        )
+        for restart in range(cfg.restarts)
+    ]
     values = [f if minimizing else -f for _, f, _, _ in runs]
     # min keeps the first of equal values: ties go to the lowest restart index.
     best_theta, best_f, _, best_converged = min(runs, key=lambda run: run[1])

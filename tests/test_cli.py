@@ -15,7 +15,8 @@ from fockmodes import (
     schmidt_spectrum,
 )
 from fockmodes.cli import run_cli
-from fockmodes.ketparse import format_unitary_file
+from fockmodes.ketparse import MAX_NESTING, format_unitary_file
+from fockmodes.optimize import MAX_RESTARTS
 from fockmodes.suite import circular_mixer
 
 
@@ -134,6 +135,20 @@ def test_missing_partition_is_usage_error(capsys):
 def test_bad_state_is_parse_error(capsys):
     assert run_cli(["entropy", "|01> +", "--partition", "0|1"]) == 3
     assert "offset" in capsys.readouterr().err
+
+
+def test_deeply_nested_coefficient_is_parse_error(capsys):
+    # Nesting is bounded, so a deep coefficient is exit 3, not a RecursionError.
+    text = "(" * 300 + "1" + ")" * 300 + "*|10>"
+    assert run_cli(["entropy", text, "--partition", "0|1"]) == 3
+    assert f"offset {MAX_NESTING}" in capsys.readouterr().err
+
+
+def test_restarts_past_the_cap_is_usage_error(capsys):
+    argv = ["optimize", "|01>+|10>", "--partition", "0|1", "--direction", "max",
+            "--restarts", str(MAX_RESTARTS + 1)]
+    assert run_cli(argv) == 2
+    assert str(MAX_RESTARTS) in capsys.readouterr().err
 
 
 def test_newline_inside_a_ket_is_whitespace(capsys):

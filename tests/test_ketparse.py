@@ -19,6 +19,7 @@ from fockmodes import (
     parse_state,
     parse_unitary_file,
 )
+from fockmodes.ketparse import MAX_NESTING
 from fockmodes.suite import balanced_mixer
 
 from conftest import random_state
@@ -146,6 +147,137 @@ def test_parse_rejects_non_ascii_digits():
     # valid mode counts.
     with pytest.raises(KetParseError):
         parse_state("|²>")
+
+
+# Inputs and their outcomes (the normalized amplitudes, or the message and
+# offset) as the parser gave them before it scanned with one compiled
+# pattern; a changed outcome is a change of the grammar.
+PINNED_OUTCOMES = [
+    ('|20> + |02>', {(2, 0): (0.7071067811865475+0j), (0, 2): (0.7071067811865475+0j)}),
+    ('|0220> + |2002> - |1111>', {(0, 2, 2, 0): (0.5773502691896258+0j), (2, 0, 0, 2): (0.5773502691896258+0j), (1, 1, 1, 1): (-0.5773502691896258+0j)}),
+    ('-|01> + i*|10>', {(0, 1): (-0.7071067811865475+0j), (1, 0): 0.7071067811865475j}),
+    ('2*i*|10> - (1-i)*|01>', {(1, 0): 0.8164965809277259j, (0, 1): (-0.40824829046386296+0.40824829046386296j)}),
+    ('0.5i*|10> + |01>', {(1, 0): 0.4472135954999579j, (0, 1): (0.8944271909999159+0j)}),
+    ('0.5 i*|10> + |01>', ("expected '*' between coefficient and ket (at offset 4)", 4)),
+    ('0.5*i*|10> + |01>', {(1, 0): 0.4472135954999579j, (0, 1): (0.8944271909999159+0j)}),
+    ('1 + 2*|10> + |01>', {(1, 0): (0.9486832980505138+0j), (0, 1): (0.31622776601683794+0j)}),
+    ('1 + 2*|10>', {(1, 0): (1+0j)}),
+    ('(1 + 2)*|10> - 3*|01>', {(1, 0): (0.7071067811865476+0j), (0, 1): (-0.7071067811865476+0j)}),
+    ('2*3*|10> + |01>', {(1, 0): (0.9863939238321437+0j), (0, 1): (0.1643989873053573+0j)}),
+    ('1/2/4*|10> + |01>', {(1, 0): (0.12403473458920847+0j), (0, 1): (0.9922778767136677+0j)}),
+    ('--1*|10> + |01>', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
+    ('- -|10> + |01>', ("expected a number, 'i', sqrt(...), '(' or a ket, got '|10>' (at offset 3)", 3)),
+    ('sqrt(9)/3*|01> + sqrt(2)*|10>', {(0, 1): (0.5773502691896257+0j), (1, 0): (0.816496580927726+0j)}),
+    ('.5e1*|10> + 5.*|01>', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
+    ('1e-300*|10> + |01>', {(0, 1): (1+0j)}),
+    ('1e200*|10> + 1e200*|01>', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
+    ('1e400*|01>', ('coefficient is not a number or too large (at offset 6)', 6)),
+    ('|10,0> + |0,10>', {(10, 0): (0.7071067811865475+0j), (0, 10): (0.7071067811865475+0j)}),
+    (' |1 , 2 ,3> ', {(1, 2, 3): (1+0j)}),
+    ('|1,\n0> - |0,1>', {(1, 0): (0.7071067811865475+0j), (0, 1): (-0.7071067811865475+0j)}),
+    ('|1\xa00> + |0\u20031>', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
+    ('\u3000|10>\x1c+\x1d|01>\u2028', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
+    ('|1\x1c0>', {(1, 0): (1+0j)}),
+    ('٣*|10> + |01>', {(1, 0): (0.9486832980505138+0j), (0, 1): (0.31622776601683794+0j)}),
+    ('sqrt(٣)*|10> + |01>', {(1, 0): (0.8660254037844386+0j), (0, 1): (0.5+0j)}),
+    ('|٣0>', ("unexpected character '٣' inside ket (at offset 1)", 1)),
+    ('|²>', ("unexpected character '²' inside ket (at offset 1)", 1)),
+    ('i²*|10>', ("unknown identifier 'i²' (at offset 0)", 0)),
+    ('2²*|10>', ("unexpected character '²' (at offset 1)", 1)),
+    ('|01', ("unterminated ket, missing '>' (at offset 0)", 0)),
+    ('|1,,0>', ("expected an unsigned integer mode count, got '' (at offset 3)", 3)),
+    ('|1, x,0>', ("expected an unsigned integer mode count, got 'x' (at offset 3)", 3)),
+    ('|10,0> + |0, 1x>', ("expected an unsigned integer mode count, got '1x' (at offset 12)", 12)),
+    ('|1,2,>', ("expected an unsigned integer mode count, got '' (at offset 5)", 5)),
+    ('| >', ('empty ket (at offset 0)', 0)),
+    ('|>', ('empty ket (at offset 0)', 0)),
+    ('|0x1>', ("unexpected character 'x' inside ket (at offset 2)", 2)),
+    ('foo*|01>', ("unknown identifier 'foo' (at offset 0)", 0)),
+    ('e*|01>', ("unknown identifier 'e' (at offset 0)", 0)),
+    ('1e*|01>', ("unknown identifier 'e' (at offset 1)", 1)),
+    ('|01> # |10>', ("unexpected character '#' (at offset 5)", 5)),
+    ('|01> |10>', ("unexpected '|10>' (at offset 5)", 5)),
+    ('|01>)', ("unexpected ')' (at offset 4)", 4)),
+    ('2|01>', ("expected '*' between coefficient and ket (at offset 1)", 1)),
+    ('2*', ("expected a number, 'i', sqrt(...), '(' or a ket, got '' (at offset 2)", 2)),
+    ('2**|01>', ("expected a number, 'i', sqrt(...), '(' or a ket, got '*' (at offset 2)", 2)),
+    ('1/0*|01>', ('division by zero in coefficient (at offset 1)', 1)),
+    ('1/(1-1)*|01>', ('division by zero in coefficient (at offset 1)', 1)),
+    ('sqrt 2*|01>', ("expected '(' after sqrt (at offset 5)", 5)),
+    ('sqrt(2.5)*|01>', ('sqrt takes an unsigned integer literal (at offset 5)', 5)),
+    ('sqrt(1e2)*|01>', ('sqrt takes an unsigned integer literal (at offset 5)', 5)),
+    ('sqrt(2*|01>', ("expected ')' to close sqrt (at offset 6)", 6)),
+    ('sqrt(-2)*|01>', ('sqrt takes an unsigned integer literal (at offset 5)', 5)),
+    ('(1+2*|01>', ("expected ')' (at offset 4)", 4)),
+    ('((1)*|01>', ("expected ')' (at offset 4)", 4)),
+    ('|01> + ', ("expected a number, 'i', sqrt(...), '(' or a ket, got '' (at offset 7)", 7)),
+    ('*|01>', ("expected a number, 'i', sqrt(...), '(' or a ket, got '*' (at offset 0)", 0)),
+    ('', ("expected a number, 'i', sqrt(...), '(' or a ket, got '' (at offset 0)", 0)),
+    ('   ', ("expected a number, 'i', sqrt(...), '(' or a ket, got '' (at offset 3)", 3)),
+    ('+', ("expected a number, 'i', sqrt(...), '(' or a ket, got '' (at offset 1)", 1)),
+    ('|01> + |001>', ('ket has 3 modes but earlier kets have 2 (at offset 7)', 7)),
+    ('|01> + 2*|1,0,0>', ('ket has 3 modes but earlier kets have 2 (at offset 9)', 9)),
+    ('|10> - |10>', ('state is zero after merging like terms (at offset 0)', 0)),
+    ('1e-16*|10>', ('state is zero after merging like terms (at offset 6)', 6)),
+    ('|01> + 1e308*|10> + 1e308*|10>', ('coefficient is not a number or too large (at offset 26)', 26)),
+    ('i*|10> + 1>', ("unexpected character '>' (at offset 10)", 10)),
+]
+
+
+@pytest.mark.parametrize("text, outcome", PINNED_OUTCOMES)
+def test_pinned_parser_outcomes(text, outcome):
+    if isinstance(outcome, dict):
+        amplitudes = parse_state(text).amplitudes
+        assert list(amplitudes) == list(outcome)
+        assert amplitudes == outcome
+        return
+    with pytest.raises(KetParseError) as err:
+        parse_state(text)
+    assert (str(err.value), err.value.position) == outcome
+
+
+def nested(depth: int) -> str:
+    return "|01> - " + "(" * depth + "2" + ")" * depth + "*|10>"
+
+
+def test_nesting_at_the_bound_parses():
+    state = parse_state(nested(MAX_NESTING), raw=True)
+    assert state.amplitudes == {(0, 1): 1.0, (1, 0): -2.0}
+
+
+def test_nesting_past_the_bound_is_a_parse_error_at_that_paren():
+    text = nested(MAX_NESTING + 1)
+    with pytest.raises(KetParseError) as err:
+        parse_state(text)
+    assert err.value.position == len("|01> - ") + MAX_NESTING
+    assert text[err.value.position] == "("
+
+
+@st.composite
+def nested_coefficients(draw) -> tuple[str, int, int]:
+    """A coefficient nested up to three times the bound, maybe unbalanced,
+    with its depth and the length of one level's opening."""
+    depth = draw(st.integers(0, 3 * MAX_NESTING))
+    opener = draw(st.sampled_from(["(", "(-", "(1+", "( ", "(2*"]))
+    inner = draw(st.sampled_from(["1", "-2i", "sqrt(2)", "1/0", "", "i*"]))
+    closers = max(0, depth - draw(st.sampled_from([0, 0, 0, 1, 2])))
+    tail = draw(st.sampled_from(["*|10>", "*|10> + |01>", "*|1,0>", ""]))
+    return opener * depth + inner + ")" * closers + tail, depth, len(opener)
+
+
+@given(nested_coefficients())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_parser_totality_with_nested_parentheses(case):
+    text, depth, step = case
+    try:
+        parse_state(text)
+    except KetParseError as err:
+        assert 0 <= err.position <= len(text)
+        if depth > MAX_NESTING:
+            # The first '(' past the bound is the error, before any other.
+            assert err.position == step * MAX_NESTING
+    else:
+        assert depth <= MAX_NESTING
 
 
 def test_format_basic_examples():

@@ -20,7 +20,7 @@ from fockmodes import (
     parse_state,
     schmidt_spectrum,
 )
-from fockmodes.optimize import _lbfgs, entropy_objective
+from fockmodes.optimize import MAX_RESTARTS, _lbfgs, entropy_objective
 from fockmodes.suite import (
     crossed_pair_state,
     four_photon_state,
@@ -29,6 +29,13 @@ from fockmodes.suite import (
 )
 
 from conftest import random_state
+
+
+def test_config_bounds_the_restart_count():
+    assert OptConfig("max", restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    for restarts in (0, MAX_RESTARTS + 1):
+        with pytest.raises(ValueError):
+            OptConfig("max", restarts=restarts)
 
 
 def test_lbfgs_convex_quadratic():

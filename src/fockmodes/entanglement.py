@@ -7,6 +7,7 @@ the SVD conditions better when eigenvalues nearly coincide.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -56,18 +57,19 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        """Parse 'i,j,..|k,l,..' with zero-based indices."""
+        """Parse 'i,j,..|k,l,..' with zero-based indices of ASCII digits."""
         halves = text.split("|")
         if len(halves) != 2:
             raise PartitionError(
                 f"expected exactly one '|' in partition string {text!r}"
             )
-        try:
-            side_a = tuple(int(tok) for tok in halves[0].split(",") if tok.strip() != "")
-            side_b = tuple(int(tok) for tok in halves[1].split(",") if tok.strip() != "")
-        except ValueError as exc:
-            raise PartitionError(f"bad mode index in partition string {text!r}") from exc
-        return cls(side_a, side_b)
+        sides = [[tok.strip() for tok in half.split(",") if tok.strip()] for half in halves]
+        # int() alone would also take signs, '_' and non-ASCII digits, and it
+        # raises ValueError past Python's int-to-str digit limit.
+        if all(tok.isascii() and tok.isdigit() for side in sides for tok in side):
+            with contextlib.suppress(ValueError):
+                return cls(*(tuple(map(int, side)) for side in sides))
+        raise PartitionError(f"bad mode index in partition string {text!r}")
 
     def __str__(self) -> str:
         return ",".join(map(str, self.side_a)) + "|" + ",".join(map(str, self.side_b))

@@ -8,6 +8,7 @@ photon pairs, say) need no special casing.  Amplitudes with modulus below
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping
@@ -114,17 +115,10 @@ def enumerate_sector(mode_count: int, total: int) -> list[Occupation]:
         raise DimensionError("mode_count must be a positive integer")
     if total < 0:
         raise ValueError("total photon number must be non-negative")
-    out: list[Occupation] = []
-
-    def fill(prefix: Occupation, remaining: int, modes_left: int) -> None:
-        if modes_left == 1:
-            out.append(prefix + (remaining,))
-            return
-        for count in range(remaining, -1, -1):
-            fill(prefix + (count,), remaining - count, modes_left - 1)
-
-    fill((), total, mode_count)
-    return out
+    # Sorted mode multisets come in lexicographic order, and where two first
+    # differ the earlier one has one more photon in the lower mode.
+    multisets = itertools.combinations_with_replacement(range(mode_count), total)
+    return [tuple(map(multiset.count, range(mode_count))) for multiset in multisets]
 
 
 def sector_dimension(mode_count: int, total: int) -> int:
@@ -174,12 +168,10 @@ def inner_product(a: PureState, b: PureState) -> complex:
         raise DimensionError(
             f"mode counts differ: {a.mode_count} vs {b.mode_count}"
         )
-    small, large = (a.amplitudes, b.amplitudes)
-    if len(small) <= len(large):
-        return sum(
-            small[occ].conjugate() * large[occ] for occ in small if occ in large
-        )
-    return sum(large[occ] * small[occ].conjugate() for occ in large if occ in small)
+    small, large = sorted((a.amplitudes, b.amplitudes), key=len)
+    return sum(
+        a.amplitudes[occ].conjugate() * b.amplitudes[occ] for occ in small if occ in large
+    )
 
 
 def sector_weights(state: PureState) -> dict[int, float]:

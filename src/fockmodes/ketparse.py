@@ -7,7 +7,7 @@ positions into the input)::
     term   := [coef '*']? ket
     ket    := '|' digit+ '>'            one digit per mode, counts 0-9
             | '|' uint (',' uint)* '>'  comma form, arbitrary counts
-    coef   := additive expression over decimal literals, 'i',
+    coef   := additive expression over decimal literals of ASCII digits, 'i',
               'sqrt(<unsigned int>)', unary '-', binary '*' '/' '+' '-',
               and parentheses nested at most MAX_NESTING (100) deep; a
               decimal literal immediately followed by 'i' (as in '0.5i')
@@ -40,7 +40,7 @@ from .transform import ModeUnitary, validate_unitary
 # ket's opening '|', a decimal literal, a name, or any other character.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<op>[-+*/()])|(?P<ket>\|)"
-    r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_]\w*)|(?P<other>\S))"
 )
 # Parentheses a coefficient may nest; each level costs four stack frames.
@@ -68,7 +68,10 @@ def _scan_ket(text: str, start: int) -> tuple[Occupation, int]:
                     f"expected an unsigned integer mode count, got {stripped!r}",
                     offset,
                 )
-            counts.append(int(stripped))
+            try:
+                counts.append(int(stripped))
+            except ValueError:  # more digits than Python turns into an int
+                raise KetParseError("mode count has too many digits", offset) from None
             offset += len(part) + 1
     else:
         compact = "".join(body.split())
@@ -154,9 +157,8 @@ class _Parser:
                 "expected '*' between coefficient and ket", self.peek()[2]
             )
         self.advance()
-        kind, counts, start, _ = self.advance()
-        if kind != "KET":
-            raise KetParseError("expected a ket after '*'", start)
+        # parse_multiplicative stops at a '*' only when a ket follows it.
+        _, counts, start, _ = self.advance()
         return sign * coeff, counts, start
 
     def parse_additive(self) -> complex:
@@ -327,6 +329,10 @@ def parse_unitary_file(content: bytes | str) -> ModeUnitary:
         doc = json.loads(content)
     except json.JSONDecodeError as exc:
         raise UnitaryFileError(f"malformed JSON: {exc}") from exc
+    except ValueError as exc:  # an integer with more digits than Python reads
+        raise UnitaryFileError("integer literal with too many digits") from exc
+    except RecursionError as exc:
+        raise UnitaryFileError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise UnitaryFileError("top-level JSON value must be an object")
     if "dim" not in doc or "rows" not in doc:

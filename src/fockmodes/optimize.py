@@ -189,15 +189,13 @@ def _block_layout(
     """
     partition.ensure_covers(mode_count)
     period = math.gcd(*(total - totals[0] for total in totals)) or max(totals) + 1
-    places = []
-    for total in totals:
-        occupations = _sector_occupations(mode_count, total)
-        counts = occupations[:, list(partition.side_a)].sum(axis=1)
-        places.append(np.stack([counts % period] + [
-            _sector_index(mode_count, total, side)
-            for side in (partition.side_a, partition.side_b)
-        ]))
-    block, *indices = np.hstack(places)
+    sectors = [_sector_occupations(mode_count, total) for total in totals]
+    sides = [np.vstack([occupations[:, list(side)] for occupations in sectors])
+             for side in (partition.side_a, partition.side_b)]
+    block = sides[0].sum(axis=1) % period
+    # Each side's index counts the occupations with fewer photons first, so
+    # it ranks the occupations of every total at once.
+    indices = [_sector_index(counts, max(totals)) for counts in sides]
     # A block's rows (columns) are its distinct side-A (side-B) occupations,
     # in the order of their index.
     local, extent = [], []

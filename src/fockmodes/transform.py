@@ -331,7 +331,6 @@ def _ladder(mode_count: int) -> _Ladder:
     return _Ladder(mode_count)
 
 
-@functools.lru_cache(maxsize=64)
 def _sector_occupations(mode_count: int, total: int) -> np.ndarray:
     """Occupations of sector `total`, one row each, in ladder order."""
     if total == 0:
@@ -341,7 +340,6 @@ def _sector_occupations(mode_count: int, total: int) -> np.ndarray:
     lower_size = math.comb(total - 1 + mode_count - 1, total - 1)
     occupations = np.zeros((starts.size, mode_count), dtype=np.intp)
     occupations[rows, gather // lower_size] = counts
-    occupations.setflags(write=False)
     return occupations
 
 
@@ -350,10 +348,9 @@ def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
     return tuple(map(tuple, _sector_occupations(mode_count, total).tolist()))
 
 
-@functools.lru_cache(maxsize=64)
-def _sector_index(mode_count: int, total: int, modes: tuple[int, ...]) -> np.ndarray:
-    """For each occupation of sector `total`, in ladder order, the index of
-    its restriction to `modes` among all occupations of those modes, ordered
+def _sector_index(counts: np.ndarray, top: int) -> np.ndarray:
+    """For each row of `counts`, an occupation of some modes holding at most
+    `top` photons, its index among all occupations of those modes, ordered
     by photon number and then as on the ladder.
 
     On the ladder the n photons of an occupation on modes 0..k with a top
@@ -362,17 +359,14 @@ def _sector_index(mode_count: int, total: int, modes: tuple[int, ...]) -> np.nda
     the hockey-stick identity ranks an occupation with f_k photons on modes
     <= k at the sum over k of binom[k, f_k] - binom[k, f_{k-1}].
     """
-    counts = _sector_occupations(mode_count, total)[:, modes]
     filled = np.cumsum(counts, axis=1)
-    width = len(modes)
-    binom = _binomials(width + 1, total)
+    width = counts.shape[1]
+    binom = _binomials(width + 1, top)
     runs = np.arange(width)
     # binom[width, n] - binom[width - 1, n] = C(n - 1 + width, width) occupations
     # hold fewer than n photons.
     below = binom[width, filled[:, -1]] - binom[width - 1, filled[:, -1]]
-    index = below + (binom[runs, filled] - binom[runs, filled - counts]).sum(axis=1)
-    index.setflags(write=False)
-    return index
+    return below + (binom[runs, filled] - binom[runs, filled - counts]).sum(axis=1)
 
 
 def _rewriter(state: PureState):

@@ -183,8 +183,13 @@ def test_bad_unitary_file_is_parse_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    ['{"dim": true, "rows": [[[1, 0]]]}', '{"dim": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400)],
-    ids=["boolean-dim", "huge-entry"],
+    [
+        '{"dim": true, "rows": [[[1, 0]]]}',
+        '{"dim": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400),
+        '{"dim": 1, "rows": [[[1%s, 0]]]}' % ("0" * 5000),
+        "[" * 200_000,
+    ],
+    ids=["boolean-dim", "huge-entry", "too-many-digits", "too-deep"],
 )
 def test_unitary_file_out_of_json_range_is_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "hostile.json"
@@ -193,6 +198,44 @@ def test_unitary_file_out_of_json_range_is_parse_error(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "set_int_max_str_digits" not in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_ket_count_past_the_digit_limit_is_parse_error(capsys):
+    ket = "|%s,0>" % ("9" * 5000)
+    assert run_cli(["rank-bound", ket, "--partition", "0|1"]) == 3
+    err = capsys.readouterr().err
+    assert "offset 1" in err
+    assert "set_int_max_str_digits" not in err
+    assert "Traceback" not in err
+
+
+def test_optimize_past_the_parameter_cap_is_usage_error(capsys):
+    # 13 modes take 169 parameters, above the cap of 144.
+    cut = "0|" + ",".join(map(str, range(1, 13)))
+    argv = ["optimize", "|1" + "0" * 12 + ">", "--partition", cut, "--direction", "max"]
+    assert run_cli(argv) == 2
+    assert "169 parameters" in capsys.readouterr().err
+
+
+def test_paper_suite_table_and_mismatch_exit(monkeypatch, capsys):
+    from fockmodes import cli as cli_module
+    from fockmodes.suite import SuiteRow
+
+    rows = [
+        SuiteRow("1.1", "closed form", 1.0, 1.0, 1e-9, "abs"),
+        SuiteRow("2.10", "above the input", 0.5, 0.75, 0.0, "gt"),
+        SuiteRow("3.1", "missed", 2.0, 1.5, 1e-6, "abs"),
+    ]
+    monkeypatch.setattr(cli_module, "run_reference_suite", lambda seed: rows)
+    assert run_cli(["paper-suite"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS]   1.1  closed form      expected ~ 1.000000  computed 1.000000  tol 1e-09",
+        "[PASS]  2.10  above the input  expected > 0.500000  computed 0.750000  tol 0",
+        "[FAIL]   3.1  missed           expected ~ 2.000000  computed 1.500000  tol 1e-06",
+        "SUITE MISMATCH",
+    ]
 
 
 def test_partition_not_covering_is_usage_error(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockmodes import (
+    NotNormalizedError,
     Partition,
     PartitionError,
     PureState,
@@ -33,6 +34,10 @@ def test_partition_validation():
         Partition((0, 0), (1,))
     with pytest.raises(PartitionError):
         Partition.from_string("0,1")
+    # Mode indices are ASCII digits only: no '_', sign or other script.
+    for text in ("1_0|0", "٠|1", "+0|1", "-0|1"):
+        with pytest.raises(PartitionError, match="bad mode index"):
+            Partition.from_string(text)
 
 
 def test_partition_from_string_roundtrip():
@@ -130,6 +135,11 @@ def test_schmidt_spectrum_examples():
     )
     np.testing.assert_allclose(spectrum.lambdas, [1 / 3] * 3, atol=1e-12)
     assert spectrum.entropy_bits == pytest.approx(math.log2(3), abs=1e-12)
+
+
+def test_schmidt_spectrum_requires_a_normalized_state():
+    with pytest.raises(NotNormalizedError):
+        schmidt_spectrum(PureState(2, {(1, 0): 2.0}), Partition((0,), (1,)))
 
 
 def test_entropy_of_pure_state_is_positive_zero():

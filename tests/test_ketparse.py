@@ -178,8 +178,8 @@ PINNED_OUTCOMES = [
     ('|1\xa00> + |0\u20031>', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
     ('\u3000|10>\x1c+\x1d|01>\u2028', {(1, 0): (0.7071067811865475+0j), (0, 1): (0.7071067811865475+0j)}),
     ('|1\x1c0>', {(1, 0): (1+0j)}),
-    ('٣*|10> + |01>', {(1, 0): (0.9486832980505138+0j), (0, 1): (0.31622776601683794+0j)}),
-    ('sqrt(٣)*|10> + |01>', {(1, 0): (0.8660254037844386+0j), (0, 1): (0.5+0j)}),
+    ('٣*|10> + |01>', ("unexpected character '٣' (at offset 0)", 0)),
+    ('sqrt(٣)*|10> + |01>', ("unexpected character '٣' (at offset 5)", 5)),
     ('|٣0>', ("unexpected character '٣' inside ket (at offset 1)", 1)),
     ('|²>', ("unexpected character '²' inside ket (at offset 1)", 1)),
     ('i²*|10>', ("unknown identifier 'i²' (at offset 0)", 0)),

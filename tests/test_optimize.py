@@ -38,6 +38,13 @@ def test_config_bounds_the_restart_count():
             OptConfig("max", restarts=restarts)
 
 
+def test_config_rejects_bad_direction_and_seed():
+    with pytest.raises(ValueError, match="direction"):
+        OptConfig("maximum")
+    with pytest.raises(ValueError, match="seed"):
+        OptConfig("max", seed=-1)
+
+
 def test_lbfgs_convex_quadratic():
     x, fval, _, _ = _lbfgs(lambda x: float(np.dot(x, x)), [1.0, 1.0], 400)
     assert fval < 1e-8

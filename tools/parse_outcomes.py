@@ -10,6 +10,8 @@ else, and parses, in this order:
   digit and comma kets, whitespace of several kinds, Unicode digits) with a
   few characters inserted, deleted or replaced, half random Unicode text;
 - coefficients nested in 1 to 300 parentheses, in four shapes per depth;
+- comma kets with counts of 4 300 to 5 000 digits, at and past Python's
+  default int-to-str limit;
 - the texts of ``bench/workloads.py``'s ``Rewrite(seed)`` and
   ``Objective(seed)`` in this checkout.
 
@@ -121,6 +123,20 @@ def nested_texts(depth: int) -> list[str]:
     ]
 
 
+def long_count_texts() -> list[str]:
+    """Comma kets with a count of 4 300 digits (the default int-to-str
+    limit), 4 301 and 5 000, alone, after a space and in a later term."""
+    return [
+        text
+        for digits in (4300, 4301, 5000)
+        for text in (
+            "|" + "9" * digits + ",0>",
+            "|0, " + "1" * digits + " >",
+            "2*|1,0> + |" + "9" * digits + ",0>",
+        )
+    ]
+
+
 def nesting(text: str) -> int:
     """Deepest run of '(' not yet closed by ')' in `text`."""
     depth = deepest = 0
@@ -152,6 +168,7 @@ def main() -> None:
         for index in range(args.count)
     ]
     texts += [text for depth in range(1, 301) for text in nested_texts(depth)]
+    texts += long_count_texts()
     texts += [item["text"] for item in Rewrite(args.seed).items]
     texts += [source["text"] for source in Objective(args.seed).sources]
 

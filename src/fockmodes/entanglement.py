@@ -118,9 +118,10 @@ def coefficient_matrix(
 
 
 def _require_unit_sum(lambdas: np.ndarray) -> None:
-    """Raise unless the Schmidt coefficients sum to one within 1e-10."""
+    """Raise unless the Schmidt coefficients sum to one within 1e-10; a NaN
+    sum fails too."""
     total = float(lambdas.sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise NumericalConsistencyError(
             f"Schmidt coefficients sum to {total!r}, expected 1 within 1e-10"
         )

@@ -3,7 +3,8 @@
 States are stored sparsely as a map from occupation tuples to complex
 amplitudes, so superpositions that mix total photon numbers (vacuum plus
 photon pairs, say) need no special casing.  Amplitudes with modulus below
-``PRUNE_THRESHOLD`` are dropped on construction.
+``PRUNE_THRESHOLD`` are dropped on construction, and a NaN or infinite one
+is a ValueError.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class PureState:
         for occ, amp in amplitudes.items():
             counts = _as_occupation(occ, mode_count)
             value = complex(amp)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"amplitude of {counts} is not finite: {value!r}")
             if abs(value) >= PRUNE_THRESHOLD:
                 kept[counts] = value
         self.mode_count = mode_count

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -43,8 +44,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_]\w*)|(?P<other>\S))"
 )
-# Parentheses a coefficient may nest; each level costs four stack frames.
+# Parentheses a coefficient may nest.  Each level costs at most four stack
+# frames: three, or four inside the right operand of a '+' or '-'.
 MAX_NESTING = 100
+# How tightly each binary operator of a coefficient binds, and what it does.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+_APPLY = {"+": add, "-": sub, "*": mul, "/": truediv}
 # Maps counts 0-9, as bytes, to their digit characters.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
@@ -63,15 +68,16 @@ def _scan_ket(text: str, start: int) -> tuple[Occupation, int]:
         offset = start + 1
         for part in body.split(","):
             stripped = part.strip()
+            # Where the count starts; a blank part's error is at the part.
+            at = offset + part.find(stripped[:1])
             if not is_uint(stripped):
                 raise KetParseError(
-                    f"expected an unsigned integer mode count, got {stripped!r}",
-                    offset,
+                    f"expected an unsigned integer mode count, got {stripped!r}", at
                 )
             try:
                 counts.append(int(stripped))
             except ValueError:  # more digits than Python turns into an int
-                raise KetParseError("mode count has too many digits", offset) from None
+                raise KetParseError("mode count has too many digits", at) from None
             offset += len(part) + 1
     else:
         compact = "".join(body.split())
@@ -128,6 +134,13 @@ class _Parser:
         self.idx += 1
         return self.tokens[self.idx - 1]
 
+    def expect(self, kind: str, message: str) -> None:
+        """Step over the next token, which must be `kind`, else raise
+        `message` at its offset."""
+        if self.peek()[0] != kind:
+            raise KetParseError(message, self.peek()[2])
+        self.idx += 1
+
     def lexeme(self, token: tuple) -> str:
         return self.text[token[2] : token[3]]
 
@@ -151,41 +164,30 @@ class _Parser:
         if kind == "KET":
             self.advance()
             return complex(sign), counts, start
-        coeff = self.parse_additive()
-        if self.peek()[0] != "*":
-            raise KetParseError(
-                "expected '*' between coefficient and ket", self.peek()[2]
-            )
-        self.advance()
-        # parse_multiplicative stops at a '*' only when a ket follows it.
+        coeff = self.parse_coefficient()
+        self.expect("*", "expected '*' between coefficient and ket")
+        # parse_coefficient stops at a '*' only when a ket follows it.
         _, counts, start, _ = self.advance()
         return sign * coeff, counts, start
 
-    def parse_additive(self) -> complex:
-        value = self.parse_multiplicative()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.parse_multiplicative()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+    def parse_coefficient(self, floor: int = 0) -> complex:
+        """The operators that bind tighter than `floor`, left to right.
 
-    def parse_multiplicative(self) -> complex:
+        The right operand of '+' or '-' is what binds tighter than it, and
+        that of '*' or '/' one unary, so a nesting level costs at most four
+        stack frames.  A '*' that a ket follows ends the coefficient.
+        """
         value = self.parse_unary()
         while True:
             kind, _, start, _ = self.peek()
-            if kind == "*" and self.peek(1)[0] == "KET":
-                # This '*' binds the whole coefficient to the ket.
-                return value
-            if kind not in ("*", "/"):
+            binding = _BINDING.get(kind, 0)
+            if binding <= floor or kind == "*" and self.peek(1)[0] == "KET":
                 return value
             self.advance()
-            rhs = self.parse_unary()
-            if kind == "*":
-                value = value * rhs
-            else:
-                if rhs == 0:
-                    raise KetParseError("division by zero in coefficient", start)
-                value = value / rhs
+            rhs = self.parse_coefficient(1) if binding == 1 else self.parse_unary()
+            if kind == "/" and rhs == 0:
+                raise KetParseError("division by zero in coefficient", start)
+            value = _APPLY[kind](value, rhs)
 
     def parse_unary(self) -> complex:
         sign = 1.0
@@ -205,15 +207,11 @@ class _Parser:
         if kind == "i":
             return 1j
         if kind == "sqrt":
-            if self.peek()[0] != "(":
-                raise KetParseError("expected '(' after sqrt", self.peek()[2])
-            self.advance()
+            self.expect("(", "expected '(' after sqrt")
             arg = self.advance()
             if arg[0] != "NUMBER" or not self.lexeme(arg).isdigit():
                 raise KetParseError("sqrt takes an unsigned integer literal", arg[2])
-            if self.peek()[0] != ")":
-                raise KetParseError("expected ')' to close sqrt", self.peek()[2])
-            self.advance()
+            self.expect(")", "expected ')' to close sqrt")
             return complex(np.sqrt(arg[1]))
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -221,10 +219,8 @@ class _Parser:
                     f"parentheses nested deeper than {MAX_NESTING}", start
                 )
             self.depth += 1
-            value = self.parse_additive()
-            if self.peek()[0] != ")":
-                raise KetParseError("expected ')'", self.peek()[2])
-            self.advance()
+            value = self.parse_coefficient()
+            self.expect(")", "expected ')'")
             self.depth -= 1
             return value
         raise KetParseError(

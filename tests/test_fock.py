@@ -69,6 +69,10 @@ def test_pure_state_prunes_and_validates():
         PureState(2, {(1, 0, 0): 1.0})
     with pytest.raises(ValueError):
         PureState(2, {(-1, 0): 1.0})
+    # A NaN amplitude would be pruned, and an infinite one normalized away.
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            PureState(2, {(1, 0): bad, (0, 1): 1.0})
 
 
 def test_normalize_examples():

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -186,8 +187,8 @@ PINNED_OUTCOMES = [
     ('2²*|10>', ("unexpected character '²' (at offset 1)", 1)),
     ('|01', ("unterminated ket, missing '>' (at offset 0)", 0)),
     ('|1,,0>', ("expected an unsigned integer mode count, got '' (at offset 3)", 3)),
-    ('|1, x,0>', ("expected an unsigned integer mode count, got 'x' (at offset 3)", 3)),
-    ('|10,0> + |0, 1x>', ("expected an unsigned integer mode count, got '1x' (at offset 12)", 12)),
+    ('|1, x,0>', ("expected an unsigned integer mode count, got 'x' (at offset 4)", 4)),
+    ('|10,0> + |0, 1x>', ("expected an unsigned integer mode count, got '1x' (at offset 13)", 13)),
     ('|1,2,>', ("expected an unsigned integer mode count, got '' (at offset 5)", 5)),
     ('| >', ('empty ket (at offset 0)', 0)),
     ('|>', ('empty ket (at offset 0)', 0)),
@@ -253,12 +254,16 @@ def test_nesting_past_the_bound_is_a_parse_error_at_that_paren():
     assert text[err.value.position] == "("
 
 
+# What opens one nesting level of a coefficient.
+OPENERS = ["(", "(-", "(1+", "( ", "(2*"]
+
+
 @st.composite
 def nested_coefficients(draw) -> tuple[str, int, int]:
     """A coefficient nested up to three times the bound, maybe unbalanced,
     with its depth and the length of one level's opening."""
     depth = draw(st.integers(0, 3 * MAX_NESTING))
-    opener = draw(st.sampled_from(["(", "(-", "(1+", "( ", "(2*"]))
+    opener = draw(st.sampled_from(OPENERS))
     inner = draw(st.sampled_from(["1", "-2i", "sqrt(2)", "1/0", "", "i*"]))
     closers = max(0, depth - draw(st.sampled_from([0, 0, 0, 1, 2])))
     tail = draw(st.sampled_from(["*|10>", "*|10> + |01>", "*|1,0>", ""]))
@@ -278,6 +283,40 @@ def test_parser_totality_with_nested_parentheses(case):
             assert err.position == step * MAX_NESTING
     else:
         assert depth <= MAX_NESTING
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack, the caller's own included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("opener", OPENERS + ["(1+2*"])
+def test_each_nesting_level_costs_at_most_four_stack_frames(opener):
+    # In '(1+2*' the next level is the right operand of a '*' that is itself
+    # the right operand of a '+'.
+    text = "|01> - " + opener * MAX_NESTING + "2" + ")" * MAX_NESTING + "*|10>"
+    limit = sys.getrecursionlimit()
+    # Four frames a level, and 25 for the calls above the first level.
+    sys.setrecursionlimit(stack_depth() + 4 * MAX_NESTING + 25)
+    try:
+        state = parse_state(text, raw=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert set(state.amplitudes) == {(0, 1), (1, 0)}
+
+
+def test_comma_count_errors_point_at_the_count():
+    # A blank part has no count, so its error is where the part starts.
+    for text, offset in [("|1, ,0>", 3), ("|1,\t 7x>", 5)]:
+        with pytest.raises(KetParseError) as err:
+            parse_state(text)
+        assert err.value.position == offset
+    with pytest.raises(KetParseError, match="too many digits") as err:
+        parse_state("|0, " + "1" * 5000 + " >")
+    assert err.value.position == 4
 
 
 def test_format_basic_examples():

@@ -213,6 +213,11 @@ def test_objective_checks_schmidt_coefficients_sum_to_one():
     unnormalized = PureState(2, {(2, 0): 1.0, (0, 2): 1.0})
     with pytest.raises(NumericalConsistencyError, match="sum to"):
         entropy_objective(unnormalized, part)(theta)
+    # NaN or infinite parameters make the spectrum's sum NaN, which fails too.
+    with np.errstate(invalid="ignore"):
+        for bad in ([math.nan] * 4, [math.inf] * 4, [0.0, 0.0, math.nan, 0.0]):
+            with pytest.raises(NumericalConsistencyError, match="sum to nan"):
+                objective(np.array(bad))
     # The same check where the spectrum takes an SVD: the 2x2 block of one
     # photon on each side.
     unnormalized = PureState(4, {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 1.0})

@@ -9,7 +9,7 @@ else, and parses, in this order:
 - `--count` seeded strings, half drawn from the ket grammar (coefficients,
   digit and comma kets, whitespace of several kinds, Unicode digits) with a
   few characters inserted, deleted or replaced, half random Unicode text;
-- coefficients nested in 1 to 300 parentheses, in four shapes per depth;
+- coefficients nested in 1 to 300 parentheses, in five shapes per depth;
 - comma kets with counts of 4 300 to 5 000 digits, at and past Python's
   default int-to-str limit;
 - the texts of ``bench/workloads.py``'s ``Rewrite(seed)`` and
@@ -114,12 +114,14 @@ def unicode_text(rng: random.Random) -> str:
 
 
 def nested_texts(depth: int) -> list[str]:
-    """Four coefficients nested `depth` parentheses deep, before a ket."""
+    """Five coefficients nested `depth` parentheses deep, before a ket; the
+    last costs the parser the most stack frames per level."""
     return [
         "(" * depth + "1" + ")" * depth + "*|10>",
         "|01> - " + "(-" * depth + "2i" + ")" * depth + "*|10>",
         "(1+" * depth + "sqrt(2)" + ")" * depth + "*|1,0>",
         "(" * depth + "1" + ")" * (depth - 1) + "*|10>",
+        "(1+2*" * depth + "1" + ")" * depth + "*|10>",
     ]
 
 

@@ -1,17 +1,30 @@
 """Extremize entanglement entropy over all unitary mode redefinitions.
 
-The unitary group is parameterized by U = exp(iH) over R^{M^2}, which is
-surjective and unconstrained, and the search is limited-memory BFGS on a
-forward-difference gradient with seeded random restarts.  Restart 0 always
-starts at the identity and every accepted step descends, so the input
-state's own entropy is a structural lower (upper) bound on the reported
-maximum (minimum).
+A redefinition U followed by one that mixes modes only within a side of the
+cut leaves the entropy as it is, so the entropy is a function of U's coset
+in U(|A|) x U(|B|) \\ U(M), of dimension 2|A||B|.  The search is
+limited-memory BFGS in a moving frame (Abrudan, Eriksson and Koivunen,
+IEEE Trans. Signal Process. 56(3), 2008): a step s of 2|A||B| real
+coordinates takes U to exp(iP(s)) U, where P(s) = [[0, Z], [Z^H, 0]]
+couples the sides through the complex |A| x |B| block Z with the real and
+imaginary parts s, and the gradient in these coordinates is exact
+(``_objective_core``).  Restart 0 starts at the identity and restarts 1..
+at exp_map of seeded uniform points in [-pi, pi]^{M^2}.  Every accepted
+step descends, so the input state's own entropy is a structural lower
+(upper) bound on the reported maximum (minimum).
+
+A restart ends where its gradient vanishes, so restart 0 ends at once
+wherever the identity is stationary: the maximum of |20> + |02> across 0|1
+with one restart is the input's 1.0, while random starts reach log2(3).
+The cut may have at most 72 coordinates, which admits every cut of up to
+12 modes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -29,18 +42,17 @@ from .errors import DegenerateStateError, DimensionError, NumericalConsistencyEr
 from .fock import PureState, require_normalized
 from .transform import (
     ModeUnitary,
+    _ladder,
     _rewriter,
     _sector_index,
     _sector_occupations,
     apply_redefinition,
     exp_i_hermitian,
-    exp_map,
     hermitian_from_params,
 )
 
-# The optimizer is meant for desk-scale problems; each forward-difference
-# gradient costs M^2 objective evaluations, so the parameter count is capped.
-_MAX_PARAMETERS = 144
+# Coset coordinates 2|A||B| a search may take: every cut of up to 12 modes.
+_MAX_COORDINATES = 72
 # L-BFGS iterations per restart before it is reported as not converged.
 _MAX_ITERATIONS = 4000
 # Restarts one run may ask for, so that every run ends in bounded time.
@@ -58,6 +70,11 @@ class OptConfig:
     def __post_init__(self):
         if self.direction not in ("min", "max"):
             raise ValueError(f"direction must be 'min' or 'max', got {self.direction!r}")
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise ValueError(f"restarts must be from 1 to {MAX_RESTARTS}")
         if self.seed < 0:
@@ -66,7 +83,9 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best extremum, its unitary and Schmidt spectrum, and per-restart bookkeeping."""
+    """Best extremum, its unitary and Schmidt spectrum, and per-restart
+    bookkeeping; `evaluations` counts the search's values and
+    `gradient_evaluations` its gradients."""
 
     direction: str
     best_entropy_bits: float
@@ -74,60 +93,52 @@ class OptResult:
     best_spectrum: SchmidtSpectrum
     per_restart_values: tuple[float, ...]
     evaluations: int
+    gradient_evaluations: int
     converged: bool
 
 
-# L-BFGS settings: curvature pairs kept, forward-difference step, Armijo
-# sufficient-decrease constant, smallest backtracked step, and the stop on
-# relative decrease, which also bounds the rounding noise in a difference.
+# L-BFGS settings: curvature pairs kept, the gradient (relative to the
+# value) below which a point is stationary, Armijo sufficient-decrease
+# constant, smallest backtracked step, and the stop on relative decrease.
 _HISTORY = 8
-_FD_STEP = 1e-8
+_FLAT = 1e-7
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 _REL_DECREASE = 1e-15
 
 
-def _lbfgs(
-    func: Callable[[np.ndarray], float], x0: np.ndarray, max_iterations: int
-) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize `func` from `x0` by limited-memory BFGS (Nocedal 1980).
+def _lbfgs(evaluate, advance, x0, max_iterations: int):
+    """Minimize from `x0` by limited-memory BFGS (Nocedal 1980).
 
-    The direction comes from the two-loop recursion over the last _HISTORY
+    evaluate(x) returns the value at x and a function of no arguments that
+    returns the gradient there; advance(x, s) is the point a step s of
+    gradient coordinates leads to from x (addition in a flat space).  The
+    direction comes from the two-loop recursion over the last _HISTORY
     curvature pairs, the step from Armijo backtracking that halves down to
-    _MIN_STEP.  Every accepted step decreases `func`, so the returned value
-    is at most func(x0).  Returns (x, func(x), evaluations, converged);
-    converged is False only when `max_iterations` ran out.
+    _MIN_STEP, and gradients are taken at accepted points only.  Every
+    accepted step decreases the value, so the returned value is at most the
+    value at x0.  Returns (x, value, value evaluations, gradient
+    evaluations, converged); converged is False only when `max_iterations`
+    ran out.
     """
-    evals = 0
+    values = 0
 
-    def feval(x: np.ndarray) -> float:
-        nonlocal evals
-        value = float(func(x))
-        evals += 1
+    def value_at(x):
+        nonlocal values
+        value, gradient = evaluate(x)
+        values += 1
         if not math.isfinite(value):
-            raise NumericalConsistencyError(
-                f"objective returned non-finite value {value!r} at point {x.tolist()}"
-            )
-        return value
+            raise NumericalConsistencyError(f"objective returned non-finite value {value!r}")
+        return float(value), gradient
 
-    def gradient(x: np.ndarray, fx: float) -> np.ndarray:
-        """Forward differences of `func` at x, where it takes the value fx."""
-        grad = np.empty_like(x)
-        for i in range(x.size):
-            shifted = x.copy()
-            shifted[i] += _FD_STEP
-            grad[i] = (feval(shifted) - fx) / _FD_STEP
-        return grad
-
-    x = np.array(x0, dtype=float).ravel()
-    f = feval(x)
-    g = gradient(x, f)
+    x = x0
+    f, gradient = value_at(x)
+    g = gradient()
+    gradients = 1
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_HISTORY)
     for _ in range(max_iterations):
-        # Differences within rounding of f carry no slope: a stationary start
-        # is returned unchanged.
-        if np.abs(g).max() * _FD_STEP <= _REL_DECREASE * max(abs(f), 1.0):
-            return x, f, evals, True
+        if np.abs(g).max() <= _FLAT * max(abs(f), 1.0):
+            return x, f, values, gradients, True
         direction = -g
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -143,22 +154,23 @@ def _lbfgs(
             direction = direction + s * (alpha - rho * (y @ direction))
         slope = float(g @ direction)
         step = 1.0
-        x_new = x + direction
-        f_new = feval(x_new)
+        x_new = advance(x, direction)
+        f_new, gradient = value_at(x_new)
         while f_new > f + _ARMIJO * step * slope:
             step *= 0.5
             if step < _MIN_STEP:
-                return x, f, evals, True
-            x_new = x + step * direction
-            f_new = feval(x_new)
+                return x, f, values, gradients, True
+            x_new = advance(x, step * direction)
+            f_new, gradient = value_at(x_new)
         if f - f_new <= _REL_DECREASE * max(abs(f), abs(f_new), 1.0):
-            return x_new, f_new, evals, True
-        g_new = gradient(x_new, f_new)
-        s, y = x_new - x, g_new - g
+            return x_new, f_new, values, gradients, True
+        g_new = gradient()
+        gradients += 1
+        s, y = step * direction, g_new - g
         if s @ y > 0.0:
             pairs.append((s, y, 1.0 / (s @ y)))
         x, f, g = x_new, f_new, g_new
-    return x, f, evals, False
+    return x, f, values, gradients, False
 
 
 @functools.lru_cache(maxsize=64)
@@ -222,54 +234,177 @@ def _block_layout(
     return bins, thin_count, cells, shape
 
 
+@functools.lru_cache(maxsize=64)
+def _lowering(mode_count: int, total: int) -> tuple[np.ndarray, ...]:
+    """The ladder rung into sector `total` read backwards, the annihilators:
+    (b_k psi)(m - e_k) = sqrt(m_k) psi(m) for every occupied mode k of every
+    occupation m, at flat position k * D_{total-1} + index(m - e_k) of an
+    (M, D_{total-1}) array.  Returns (positions, sources, roots, sizes): per
+    entry its position, the index of m in the sector and sqrt(m_k); and
+    (D_total, D_{total-1})."""
+    gather, starts, counts, _ = _ladder(mode_count).rungs(total)[-1]
+    sources = np.repeat(np.arange(starts.size), np.diff(starts, append=gather.size))
+    lower = math.comb(total - 1 + mode_count - 1, mode_count - 1)
+    return gather, sources, np.sqrt(counts), (starts.size, lower)
+
+
+def _objective_core(state: PureState, partition: Partition):
+    """Build the entropy of `state` rewritten by a substitution matrix, and
+    its gradient over the mode redefinitions.
+
+    Returns (measure, slope).  measure(subst) rewrites the state through the
+    photon-number ladder of ``apply_redefinition`` (``transform._rewriter``)
+    with every old a†_j replaced by sum_k subst[j, k] b†_k, takes the block
+    spectrum through the cached ``_block_layout`` (one ``np.bincount`` of
+    |amplitude|^2 gives the coefficient of every block with one row or
+    column, one stacked SVD those of the others), checks with
+    ``_require_unit_sum`` that the coefficients sum to one within 1e-10,
+    raising NumericalConsistencyError otherwise, and returns
+    (``entropy_of_spectrum``, amplitudes, coefficients).
+
+    slope(amplitudes, coefficients) of one measure returns the M x M matrix
+    R_kl = <G| b_k† b_l |psi'>, where psi' is the rewritten state and G the
+    gradient of the entropy over its amplitudes: on each Schmidt block
+    G = U diag(f'(sigma)) V^H with f(sigma) = -sigma^2 log2 sigma^2 (Lewis,
+    Math. Oper. Res. 21, 1996), which on a thin block is the amplitudes
+    times -2(log2 lambda + 1/ln 2).  Moving the redefinition U to
+    exp(i eps X) U for a Hermitian X substitutes
+    b†_l -> b†_l - i eps sum_k X_lk b†_k, the one-body operator
+    sum X_lk b†_k b_l on psi', so the entropy moves by eps Im tr(X R): the
+    gradient over X is (R - R^H) / 2i.  Each sector's b_k psi' and b_k G,
+    for every k at once, are one scatter along the rung read backwards
+    (``_lowering``), and its share of R one product of the two.
+
+    A state past the ladder's size limit raises SizeLimitError here, before
+    any table is built, and a partition that does not cover the state's
+    modes raises PartitionError.
+    """
+    if not state.amplitudes:
+        raise DegenerateStateError("state has zero norm")
+    mode_count = state.mode_count
+    totals, rewrite = _rewriter(state)
+    bins, thin_count, cells, shape = _block_layout(mode_count, totals, partition)
+    stack_size = math.prod(shape)
+
+    def stacked(amplitudes: np.ndarray) -> np.ndarray:
+        stack = np.zeros(stack_size + 1, dtype=complex)
+        stack[cells] = amplitudes
+        return stack[:-1].reshape(shape)
+
+    def measure(subst: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        amplitudes = rewrite(subst)
+        parts = amplitudes.view(float)
+        lam = np.bincount(bins, parts * parts, thin_count + 1)[:thin_count]
+        if stack_size:
+            singulars = np.linalg.svd(stacked(amplitudes), compute_uv=False)
+            lam = np.concatenate((lam, singulars.ravel() ** 2))
+        _require_unit_sum(lam)
+        return entropy_of_spectrum(lam), amplitudes, lam
+
+    def slope(amplitudes: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        grad = np.append(_entropy_derivative(lam[:thin_count]), 0.0)[bins[::2]] * amplitudes
+        if stack_size:
+            left, sigma, right = np.linalg.svd(stacked(amplitudes), full_matrices=False)
+            sigma = sigma * _entropy_derivative(sigma * sigma)
+            grad += np.append((left * sigma[:, None, :]) @ right, 0.0)[cells]
+        r = np.zeros((mode_count, mode_count), dtype=complex)
+        pair = np.stack((amplitudes, grad))
+        # Sectors follow one another in the amplitudes; the vacuum, first when
+        # populated, has nothing to annihilate.
+        end = int(totals[0] == 0)
+        for total in totals[end:]:
+            positions, sources, roots, (size, lower) = _lowering(mode_count, total)
+            start, end = end, end + size
+            lowered = np.zeros((2, mode_count * lower), dtype=complex)
+            lowered[:, positions] = pair[:, start + sources] * roots
+            psi, lowered_grad = lowered.reshape(2, mode_count, lower)
+            r += lowered_grad.conj() @ psi.T
+        return r
+
+    return measure, slope
+
+
+def _entropy_derivative(square: np.ndarray) -> np.ndarray:
+    """-2(log2 lambda + 1/ln 2), twice the derivative of -lambda log2 lambda:
+    the entropy's gradient over a thin block's amplitudes is this times the
+    amplitudes, and f'(sigma) this times sigma.  Where lambda is 0 it
+    multiplies a zero, so its value there does not matter."""
+    return -2.0 * (np.log2(np.where(square > 0.0, square, 1.0)) + 1.0 / math.log(2.0))
+
+
+@functools.lru_cache(maxsize=16)
+def _substitution(mode_count: int) -> Callable[[np.ndarray], np.ndarray]:
+    """theta -> exp(-iH(theta)), the substitution matrix of exp_map(theta).
+
+    Row i of the basis is -hermitian_from_params(e_i) as pairs of floats, so
+    one product theta @ basis, viewed as complex, is -H(theta), and
+    exp_i_hermitian gives V diag(e^{-i lambda}) V^H from its eigenvectors."""
+    units = np.eye(mode_count * mode_count)
+    basis = -np.array([hermitian_from_params(unit).ravel() for unit in units]).view(float)
+    dims = (mode_count, mode_count)
+    return lambda theta: exp_i_hermitian(np.dot(np.ravel(theta), basis).view(complex).reshape(dims))
+
+
 def entropy_objective(
     state: PureState, partition: Partition
 ) -> Callable[[np.ndarray], float]:
     """Build theta -> entropy_bits(apply_redefinition(state, exp_map(theta)), p).
 
-    The returned closure rewrites the state through the same photon-number
-    ladder as ``apply_redefinition`` (``transform._rewriter``), with all that
-    depends only on the state, the partition and M prepared here once: the
-    cached ladder tables, each sector's terms as steps and weights, and the
-    cached block layout of the Schmidt matrix (``_block_layout``).  An
-    evaluation is then exp(iH), N gather-multiply steps per sector (the last
-    one summing the terms), and the block spectrum: one ``np.bincount`` of
-    |amplitude|^2 gives the coefficient of every block with one row or
-    column, one stacked SVD the coefficients of the others; then
-    ``entropy_of_spectrum``.  A state past the ladder's size limit raises SizeLimitError
-    here, before any table is built, and a partition that does not cover
-    the state's modes raises PartitionError.
+    The returned closure forms H(theta) in one product with a cached basis of
+    the Hermitian matrices and passes exp(-iH) = V diag(e^{-i lambda}) V^H
+    straight to the measure of ``_objective_core``, built here once: a
+    state past the ladder's size limit raises SizeLimitError, and a
+    partition that does not cover the state's modes PartitionError.
 
     The closure raises DimensionError for a theta whose length is not M^2
     and NumericalConsistencyError when the Schmidt coefficients miss a sum
     of one by more than 1e-10, as ``schmidt_spectrum`` does.
     """
-    if not state.amplitudes:
-        raise DegenerateStateError("state has zero norm")
+    measure, _ = _objective_core(state, partition)
     mode_count = state.mode_count
     n_params = mode_count * mode_count
-    totals, rewrite = _rewriter(state)
-    bins, thin_count, cells, shape = _block_layout(mode_count, totals, partition)
-    stack_size = math.prod(shape)
+    substitution = _substitution(mode_count)
 
     def objective(theta: np.ndarray) -> float:
         if np.size(theta) != n_params:
-            raise DimensionError(
-                f"objective over {mode_count} modes takes M^2 = {n_params} "
-                f"parameters, got {np.size(theta)}"
-            )
-        amplitudes = rewrite(exp_i_hermitian(hermitian_from_params(theta)).conj().T)
-        parts = amplitudes.view(float)
-        lam = np.bincount(bins, parts * parts, thin_count + 1)[:thin_count]
-        if stack_size:
-            stack = np.zeros(stack_size + 1, dtype=complex)
-            stack[cells] = amplitudes
-            singulars = np.linalg.svd(stack[:-1].reshape(shape), compute_uv=False)
-            lam = np.concatenate((lam, singulars.ravel() ** 2))
-        _require_unit_sum(lam)
-        return entropy_of_spectrum(lam)
+            raise DimensionError(f"objective over {mode_count} modes takes M^2 = "
+                                 f"{n_params} parameters, got {np.size(theta)}")
+        return measure(substitution(theta))[0]
 
     return objective
+
+
+def _coset_search(state: PureState, partition: Partition, sign: float):
+    """(evaluate, advance) for ``_lbfgs`` over the coset coordinates.
+
+    A point is the substitution matrix S = U^H of a redefinition U.
+    evaluate(S) returns sign times the entropy at S and a function giving
+    sign times its gradient over the steps s: the A x B block of
+    (R - R^H) / 2i, doubled and read as pairs of floats, is the gradient
+    over the real and imaginary parts of Z.  advance(S, s) is
+    S exp(-iP(s)), the substitution of exp(iP(s)) U.
+    """
+    measure, slope = _objective_core(state, partition)
+    across = np.ix_(partition.side_a, partition.side_b)
+    back = np.ix_(partition.side_b, partition.side_a)
+
+    def evaluate(subst: np.ndarray):
+        value, amplitudes, lam = measure(subst)
+
+        def gradient() -> np.ndarray:
+            r = slope(amplitudes, lam)
+            return ((-1j * sign) * (r[across] - r[back].conj().T)).ravel().view(float)
+
+        return sign * value, gradient
+
+    def advance(subst: np.ndarray, step: np.ndarray) -> np.ndarray:
+        z = step.view(complex).reshape(len(partition.side_a), -1)
+        herm = np.zeros((state.mode_count, state.mode_count), dtype=complex)
+        herm[across] = -z
+        herm[back] = -z.conj().T
+        return subst @ exp_i_hermitian(herm)
+
+    return evaluate, advance
 
 
 def optimize_entanglement(
@@ -277,42 +412,43 @@ def optimize_entanglement(
 ) -> OptResult:
     """Extremal entanglement entropy over all mode redefinitions.
 
-    Restart 0 starts at the identity; restarts 1.. start at seeded uniform
-    points in [-pi, pi]^{M^2}, and each runs at most _MAX_ITERATIONS L-BFGS
-    iterations.  Results are deterministic for a fixed (seed, restarts) and
-    independent of restart execution order (ties break toward the lowest
-    restart index).  The winner is rewritten with ``apply_redefinition`` and
-    rechecked by ``schmidt_spectrum``.  A partition that does not cover the
-    state's modes raises PartitionError from the objective's build.
+    Restart 0 starts at the identity; restarts 1.. start at exp_map of
+    seeded uniform points in [-pi, pi]^{M^2}, and each runs at most
+    _MAX_ITERATIONS L-BFGS iterations over the 2|A||B| coset coordinates
+    (``_coset_search``).  Results are deterministic for a fixed (seed,
+    restarts) and independent of restart execution order (ties break
+    toward the lowest restart index).  The input's entropy, read by
+    ``entropy_objective`` at theta = 0, bounds the result; the winner is
+    rewritten with ``apply_redefinition`` and rechecked by
+    ``schmidt_spectrum``.  A cut of more than _MAX_COORDINATES coordinates
+    raises DimensionError, and a partition that does not cover the state's
+    modes PartitionError from the objective's build.
     """
     require_normalized(state)
-    mode_count = state.mode_count
-    n_params = mode_count * mode_count
-    if n_params > _MAX_PARAMETERS:
-        raise DimensionError(
-            f"{n_params} parameters exceeds the practical cap of {_MAX_PARAMETERS}"
-        )
-
-    entropy = entropy_objective(state, partition)
-    minimizing = cfg.direction == "min"
-    objective = entropy if minimizing else (lambda theta: -entropy(theta))
+    coordinates = 2 * len(partition.side_a) * len(partition.side_b)
+    if coordinates > _MAX_COORDINATES:
+        raise DimensionError(f"the cut {partition} has {coordinates} coordinates, "
+                             f"above the cap of {_MAX_COORDINATES}")
+    n_params = state.mode_count**2
+    input_entropy = entropy_objective(state, partition)(np.zeros(n_params))
+    sign = 1.0 if cfg.direction == "min" else -1.0
+    evaluate, advance = _coset_search(state, partition, sign)
+    substitution = _substitution(state.mode_count)
 
     rng = np.random.default_rng(cfg.seed)
     # Each start is drawn as its restart begins, in restart order.
-    runs = [
-        _lbfgs(
-            objective,
-            rng.uniform(-math.pi, math.pi, n_params) if restart else np.zeros(n_params),
-            _MAX_ITERATIONS,
-        )
-        for restart in range(cfg.restarts)
-    ]
-    values = [f if minimizing else -f for _, f, _, _ in runs]
+    starts = (rng.uniform(-math.pi, math.pi, n_params) if restart else np.zeros(n_params)
+              for restart in range(cfg.restarts))
+    runs = [_lbfgs(evaluate, advance, substitution(theta), _MAX_ITERATIONS) for theta in starts]
+    values = [sign * f for _, f, _, _, _ in runs]
     # min keeps the first of equal values: ties go to the lowest restart index.
-    best_theta, best_f, _, best_converged = min(runs, key=lambda run: run[1])
-    best_value = best_f if minimizing else -best_f
+    best_subst, best_f, _, _, best_converged = min(runs, key=lambda run: run[1])
+    best_value = sign * best_f
+    if sign * (best_value - input_entropy) > 0.0:
+        raise NumericalConsistencyError(f"optimizer value {best_value!r} is past "
+                                        f"the input's entropy {input_entropy!r}")
 
-    best_unitary = exp_map(best_theta)
+    best_unitary = ModeUnitary(best_subst.conj().T)
     best_spectrum = schmidt_spectrum(apply_redefinition(state, best_unitary), partition)
     if abs(best_spectrum.entropy_bits - best_value) > 1e-9:
         raise NumericalConsistencyError(
@@ -326,5 +462,6 @@ def optimize_entanglement(
         best_spectrum=best_spectrum,
         per_restart_values=tuple(values),
         evaluations=sum(run[2] for run in runs),
+        gradient_evaluations=sum(run[3] for run in runs),
         converged=best_converged,
     )

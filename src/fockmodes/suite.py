@@ -145,8 +145,7 @@ def _opt(state, partition, direction, seed) -> OptResult:
 def run_reference_suite(seed: int = 0) -> list[SuiteRow]:
     """Compute every row of the reproduction table.
 
-    Optimizer rows run OptConfig's default 24 restarts from `seed`; the
-    10-mode conjecture check (row 10.4) is the slowest row by a wide margin.
+    Optimizer rows run OptConfig's default 24 restarts from `seed`.
     """
     rows: list[SuiteRow] = []
 

@@ -433,6 +433,10 @@ def _rewriter(state: PureState):
             _climb(subst, plan, rungs, total) if total else plan
             for total, plan in zip(totals, plans)
         ]
+        # One climbed sector is fresh already; the vacuum's part is its plan,
+        # which the concatenation copies.
+        if len(parts) == 1 and totals[0]:
+            return parts[0]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
     return totals, rewrite

@@ -212,11 +212,30 @@ def test_ket_count_past_the_digit_limit_is_parse_error(capsys):
 
 
 def test_optimize_past_the_parameter_cap_is_usage_error(capsys):
-    # 13 modes take 169 parameters, above the cap of 144.
-    cut = "0|" + ",".join(map(str, range(1, 13)))
+    # A 6|7 cut takes 2 * 6 * 7 = 84 coset coordinates, above the cap of 72.
+    cut = "0,1,2,3,4,5|" + ",".join(map(str, range(6, 13)))
     argv = ["optimize", "|1" + "0" * 12 + ">", "--partition", cut, "--direction", "max"]
     assert run_cli(argv) == 2
-    assert "169 parameters" in capsys.readouterr().err
+    assert "84 coordinates" in capsys.readouterr().err
+
+
+def test_optimize_takes_every_cut_of_twelve_modes(capsys):
+    # 6|6 is the largest cut of 12 modes: 72 coordinates, at the cap.
+    ket = "|100000000001> + |010000000010>"
+    cut = "0,1,2,3,4,5|" + ",".join(map(str, range(6, 12)))
+    argv = ["optimize", ket, "--partition", cut, "--direction", "min",
+            "--restarts", "1", "--json"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["best"] <= 1.0
+
+
+def test_optimize_restart_zero_stays_at_a_stationary_identity(capsys):
+    # The identity is stationary for the maximum of |20>+|02>, so one restart
+    # returns the input's entropy, not log2(3).
+    argv = ["optimize", "|20>+|02>", "--partition", "0|1", "--direction", "max",
+            "--restarts", "1", "--json"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["best"] == 1.0
 
 
 def test_paper_suite_table_and_mismatch_exit(monkeypatch, capsys):

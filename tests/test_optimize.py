@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 
 import numpy as np
@@ -20,10 +21,17 @@ from fockmodes import (
     parse_state,
     schmidt_spectrum,
 )
-from fockmodes.optimize import MAX_RESTARTS, _lbfgs, entropy_objective
+from fockmodes.optimize import (
+    MAX_RESTARTS,
+    _coset_search,
+    _lbfgs,
+    _objective_core,
+    entropy_objective,
+)
 from fockmodes.suite import (
     crossed_pair_state,
     four_photon_state,
+    single_photon_pair,
     two_photon_pair,
     vacuum_plus_pair,
 )
@@ -33,40 +41,50 @@ from conftest import random_state
 
 def test_config_bounds_the_restart_count():
     assert OptConfig("max", restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    assert type(OptConfig("max", restarts=np.int64(3)).restarts) is int
     for restarts in (0, MAX_RESTARTS + 1):
         with pytest.raises(ValueError):
+            OptConfig("max", restarts=restarts)
+    for restarts in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="restarts"):
             OptConfig("max", restarts=restarts)
 
 
 def test_config_rejects_bad_direction_and_seed():
     with pytest.raises(ValueError, match="direction"):
         OptConfig("maximum")
-    with pytest.raises(ValueError, match="seed"):
-        OptConfig("max", seed=-1)
+    for seed in (-1, 1.5, math.nan, False, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            OptConfig("max", seed=seed)
+
+
+def quadratic(center):
+    """Value and gradient of |x - center|^2, as _lbfgs takes them."""
+    return lambda x: (float((x - center) @ (x - center)), lambda: 2.0 * (x - center))
 
 
 def test_lbfgs_convex_quadratic():
-    x, fval, _, _ = _lbfgs(lambda x: float(np.dot(x, x)), [1.0, 1.0], 400)
+    x, fval, _, _, _ = _lbfgs(quadratic(0.0), operator.add, np.array([1.0, 1.0]), 400)
     assert fval < 1e-8
 
 
 def test_lbfgs_shifted_quadratic():
-    x, fval, _, _ = _lbfgs(lambda x: (x[0] - 3.0) ** 2, [0.0], 400)
+    x, fval, _, _, _ = _lbfgs(quadratic(3.0), operator.add, np.array([0.0]), 400)
     assert x[0] == pytest.approx(3.0, abs=1e-4)
 
 
 def test_lbfgs_rejects_non_finite():
     with pytest.raises(NumericalConsistencyError):
-        _lbfgs(lambda x: float("nan"), [0.0, 0.0], 400)
+        _lbfgs(lambda x: (float("nan"), lambda: x), operator.add, np.zeros(2), 400)
 
 
 def test_lbfgs_descends_and_returns_the_value_at_its_point():
-    objective = entropy_objective(two_photon_pair(), Partition((0,), (1,)))
-    start = np.random.default_rng(7).uniform(-np.pi, np.pi, 4)
-    x, fval, evals, _ = _lbfgs(objective, start, 600)
+    evaluate, advance = _coset_search(two_photon_pair(), Partition((0,), (1,)), 1.0)
+    start = exp_map(np.random.default_rng(7).uniform(-np.pi, np.pi, 4)).matrix.conj().T
+    x, fval, evals, _, _ = _lbfgs(evaluate, advance, start, 600)
     assert evals > 10
-    assert fval <= objective(start)
-    assert fval == objective(x)
+    assert fval <= evaluate(start)[0]
+    assert fval == evaluate(x)[0]
 
 
 def test_lbfgs_stops_at_a_stationary_start():
@@ -76,6 +94,74 @@ def test_lbfgs_stops_at_a_stationary_start():
     part = Partition((0,), (1,))
     result = optimize_entanglement(state, part, OptConfig("max", restarts=1))
     assert result.per_restart_values == (schmidt_spectrum(state, part).entropy_bits,)
+
+
+def _halves(mode_count):
+    half = mode_count // 2
+    return Partition(tuple(range(half)), tuple(range(half, mode_count)))
+
+
+def _gradient_cases():
+    """(state, cut, points): every suite state with its cuts, random states
+    of mixed totals, and rank-deficient points (a zero thin block; a thick
+    block with a zero singular value) where the gradient does not vanish."""
+    rng = np.random.default_rng(29)
+
+    def random_points(mode_count):
+        return [exp_map(rng.uniform(-np.pi, np.pi, mode_count**2)).matrix.conj().T
+                for _ in range(3)]
+
+    cases = [
+        (single_photon_pair(), _halves(2)),
+        (two_photon_pair(), _halves(2)),
+        (four_photon_state(), _halves(4)),
+        (vacuum_plus_pair(), _halves(2)),
+        (crossed_pair_state(2), Partition((0,), (1, 2, 3))),
+    ] + [(crossed_pair_state(pairs), _halves(2 * pairs)) for pairs in range(2, 6)]
+    cases = [(state, cut, random_points(state.mode_count)) for state, cut in cases]
+    for mode_count, totals in ((3, (0, 1, 3)), (4, (0, 2, 5)), (3, (1, 4))):
+        cut = Partition((0,), tuple(range(1, mode_count)))
+        cases.append((random_state(rng, mode_count, totals), cut, random_points(mode_count)))
+    for ket, cut in (("0.6*|20> + 0.8*|11>", "0|1"), ("0.6*|1010> + 0.8*|2000>", "0,1|2,3")):
+        state = parse_state(ket)
+        cases.append((state, Partition.from_string(cut), [np.eye(state.mode_count)]))
+    return cases
+
+
+def test_coset_gradient_matches_central_differences():
+    for state, cut, points in _gradient_cases():
+        evaluate, advance = _coset_search(state, cut, 1.0)
+        for subst in points:
+            value, gradient = evaluate(subst)
+            exact = gradient()
+            assert exact.size == 2 * len(cut.side_a) * len(cut.side_b)
+            step = 1e-5
+            central = np.array([
+                (evaluate(advance(subst, step * unit))[0]
+                 - evaluate(advance(subst, -step * unit))[0]) / (2 * step)
+                for unit in np.eye(exact.size)
+            ])
+            scale = np.abs(exact).max()
+            assert scale > 1e-3, (state, cut)
+            assert np.abs(exact - central).max() <= 1e-6 * scale, (state, cut)
+            # The maximum's search reads the same point with both signs flipped.
+            negated, negated_gradient = _coset_search(state, cut, -1.0)[0](subst)
+            assert negated == -value
+            assert np.array_equal(negated_gradient(), -exact)
+
+
+def test_gradient_vanishes_within_each_side():
+    # A redefinition within one side leaves the entropy as it is, so the
+    # side-A and side-B blocks of (R - R^H) / 2i vanish.
+    for state, cut, points in _gradient_cases():
+        measure, slope = _objective_core(state, cut)
+        for subst in points:
+            _, amplitudes, lam = measure(subst)
+            r = slope(amplitudes, lam)
+            hermitian = (r - r.conj().T) / 2j
+            for side in (cut.side_a, cut.side_b):
+                block = hermitian[np.ix_(side, side)]
+                assert np.abs(block).max() <= 1e-12 * np.abs(r).max(), (state, cut)
 
 
 def test_objective_matches_library_entropy(rng):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer time of one pass of the ``rewrite`` benchmark workload.
+"""Per-layer time of the ``rewrite`` benchmark workload's pass, over several passes.
 
     python3 tools/rewrite_layers.py --src PATH [--seed 131] [--repeat 9]
 
@@ -8,16 +8,19 @@ else, and draws the items of one pass from ``bench/workloads.py``'s
 ``Rewrite(seed)`` in this checkout, so two trees see the same items.  Each
 item runs the chain parse_state -> exp_map -> apply_redefinition ->
 schmidt_spectrum -> rank_bound -> format_state, each layer ``--repeat``
-times on the previous layer's output.  Prints one JSON line per layer with
-its best-of-repeat ms per item summed over the pass, then one line with
-the total.  To compare two trees, alternate runs of this script on each.
-BLAS is pinned to one thread, as in ``bench/run.py``.
+times on the previous layer's output.  The pass runs PASSES times; a
+layer's time in one pass is its best-of-repeat ms per item summed over the
+items.  Prints one JSON line per layer with the median and quartiles of
+those per-pass times, then one line with the same for the total.  To
+compare two trees, alternate runs of this script on each.  BLAS is pinned
+to one thread, as in ``bench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -25,6 +28,9 @@ from pathlib import Path
 from checkout import use_src
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# Passes per run: one pass of one tree spreads by up to two thirds between
+# runs, so a run reports the median and quartiles of several.
+PASSES = 5
 
 
 def main() -> None:
@@ -44,32 +50,40 @@ def main() -> None:
     from workloads import Rewrite
 
     items = Rewrite(args.seed).items
-    totals: dict[str, float] = {}
+    passes: list[dict[str, float]] = []
 
     def layer(name, call):
-        """Time `call` `--repeat` times, add the fastest to `name`'s total."""
+        """Time `call` `--repeat` times, add the fastest to `name`'s pass time."""
         best = float("inf")
         for _ in range(args.repeat):
             start = time.perf_counter()
             result = call()
             best = min(best, time.perf_counter() - start)
+        totals = passes[-1]
         totals[name] = totals.get(name, 0.0) + best * 1000.0
         return result
 
-    for item in items:
-        cut = item["partition"]
-        state = layer("parse_state", lambda: ketparse.parse_state(item["text"]))
-        unitary = layer("exp_map", lambda: transform.exp_map(item["theta"]))
-        rewritten = layer(
-            "apply_redefinition", lambda: transform.apply_redefinition(state, unitary)
-        )
-        layer("schmidt_spectrum", lambda: entanglement.schmidt_spectrum(rewritten, cut))
-        layer("rank_bound", lambda: entanglement.rank_bound(rewritten, cut))
-        layer("format_state", lambda: ketparse.format_state(rewritten))
+    for _ in range(PASSES):
+        passes.append({})
+        for item in items:
+            cut = item["partition"]
+            state = layer("parse_state", lambda: ketparse.parse_state(item["text"]))
+            unitary = layer("exp_map", lambda: transform.exp_map(item["theta"]))
+            rewritten = layer(
+                "apply_redefinition", lambda: transform.apply_redefinition(state, unitary)
+            )
+            layer("schmidt_spectrum", lambda: entanglement.schmidt_spectrum(rewritten, cut))
+            layer("rank_bound", lambda: entanglement.rank_bound(rewritten, cut))
+            layer("format_state", lambda: ketparse.format_state(rewritten))
 
-    for name, ms in totals.items():
-        print(json.dumps({"layer": name, "ms": round(ms, 3), "items": len(items)}))
-    print(json.dumps({"total_ms": round(sum(totals.values()), 3), "items": len(items)}))
+    def spread(prefix: str, times: list[float]) -> dict[str, float]:
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        return {f"{prefix}median_ms": round(median, 3), f"{prefix}q1_ms": round(q1, 3),
+                f"{prefix}q3_ms": round(q3, 3), "passes": PASSES, "items": len(items)}
+
+    for name in passes[0]:
+        print(json.dumps({"layer": name, **spread("", [totals[name] for totals in passes])}))
+    print(json.dumps(spread("total_", [sum(totals.values()) for totals in passes])))
 
 
 if __name__ == "__main__":

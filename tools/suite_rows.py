@@ -7,7 +7,9 @@ Imports fockmodes from PATH (a checkout's ``src`` directory) and nowhere
 else, wraps the module-level ``optimize_entanglement`` that the suite's
 optimizer rows call, and runs ``run_reference_suite(seed)`` once.  Prints one
 JSON line per optimizer call (call index, mode count, direction, wall ms,
-``OptResult.evaluations``), then one line with the suite's totals.  To
+``OptResult.evaluations`` and ``OptResult.gradient_evaluations``, the
+search's values and gradients; 0 gradients for a tree whose ``OptResult``
+has no such field), then one line with the suite's totals.  To
 compare two trees, alternate runs of this script on each.  BLAS is pinned to
 one thread, as in ``bench/run.py``, so the timings do not switch between
 one- and two-thread modes from process to process.
@@ -45,6 +47,7 @@ def main() -> None:
             "direction": cfg.direction,
             "wall_ms": round((time.perf_counter() - start) * 1000.0, 1),
             "evaluations": result.evaluations,
+            "gradient_evaluations": getattr(result, "gradient_evaluations", 0),
         })
         print(json.dumps(calls[-1]), flush=True)
         return result
@@ -56,6 +59,7 @@ def main() -> None:
         "total_wall_ms": round((time.perf_counter() - start) * 1000.0, 1),
         "optimizer_wall_ms": round(sum(call["wall_ms"] for call in calls), 1),
         "evaluations": sum(call["evaluations"] for call in calls),
+        "gradient_evaluations": sum(call["gradient_evaluations"] for call in calls),
         "calls": len(calls),
         "all_pass": all(row.passed for row in rows),
     }))

@@ -42,7 +42,7 @@ from .errors import DegenerateStateError, DimensionError, NumericalConsistencyEr
 from .fock import PureState, require_normalized
 from .transform import (
     ModeUnitary,
-    _ladder,
+    _lowering,
     _rewriter,
     _sector_index,
     _sector_occupations,
@@ -234,20 +234,6 @@ def _block_layout(
     return bins, thin_count, cells, shape
 
 
-@functools.lru_cache(maxsize=64)
-def _lowering(mode_count: int, total: int) -> tuple[np.ndarray, ...]:
-    """The ladder rung into sector `total` read backwards, the annihilators:
-    (b_k psi)(m - e_k) = sqrt(m_k) psi(m) for every occupied mode k of every
-    occupation m, at flat position k * D_{total-1} + index(m - e_k) of an
-    (M, D_{total-1}) array.  Returns (positions, sources, roots, sizes): per
-    entry its position, the index of m in the sector and sqrt(m_k); and
-    (D_total, D_{total-1})."""
-    gather, starts, counts, _ = _ladder(mode_count).rungs(total)[-1]
-    sources = np.repeat(np.arange(starts.size), np.diff(starts, append=gather.size))
-    lower = math.comb(total - 1 + mode_count - 1, mode_count - 1)
-    return gather, sources, np.sqrt(counts), (starts.size, lower)
-
-
 def _objective_core(state: PureState, partition: Partition):
     """Build the entropy of `state` rewritten by a substitution matrix, and
     its gradient over the mode redefinitions.
@@ -272,8 +258,9 @@ def _objective_core(state: PureState, partition: Partition):
     b†_l -> b†_l - i eps sum_k X_lk b†_k, the one-body operator
     sum X_lk b†_k b_l on psi', so the entropy moves by eps Im tr(X R): the
     gradient over X is (R - R^H) / 2i.  Each sector's b_k psi' and b_k G,
-    for every k at once, are one scatter along the rung read backwards
-    (``_lowering``), and its share of R one product of the two.
+    for every k at once, are one scatter along the ladder rung read
+    backwards (``transform._lowering``, scaled by the square roots of its
+    counts), and its share of R one product of the two.
 
     A state past the ladder's size limit raises SizeLimitError here, before
     any table is built, and a partition that does not cover the state's
@@ -313,10 +300,10 @@ def _objective_core(state: PureState, partition: Partition):
         # populated, has nothing to annihilate.
         end = int(totals[0] == 0)
         for total in totals[end:]:
-            positions, sources, roots, (size, lower) = _lowering(mode_count, total)
+            positions, sources, counts, (size, lower) = _lowering(mode_count, total)
             start, end = end, end + size
             lowered = np.zeros((2, mode_count * lower), dtype=complex)
-            lowered[:, positions] = pair[:, start + sources] * roots
+            lowered[:, positions] = pair[:, start + sources] * np.sqrt(counts)
             psi, lowered_grad = lowered.reshape(2, mode_count, lower)
             r += lowered_grad.conj() @ psi.T
         return r
@@ -332,29 +319,17 @@ def _entropy_derivative(square: np.ndarray) -> np.ndarray:
     return -2.0 * (np.log2(np.where(square > 0.0, square, 1.0)) + 1.0 / math.log(2.0))
 
 
-@functools.lru_cache(maxsize=16)
-def _substitution(mode_count: int) -> Callable[[np.ndarray], np.ndarray]:
-    """theta -> exp(-iH(theta)), the substitution matrix of exp_map(theta).
-
-    Row i of the basis is -hermitian_from_params(e_i) as pairs of floats, so
-    one product theta @ basis, viewed as complex, is -H(theta), and
-    exp_i_hermitian gives V diag(e^{-i lambda}) V^H from its eigenvectors."""
-    units = np.eye(mode_count * mode_count)
-    basis = -np.array([hermitian_from_params(unit).ravel() for unit in units]).view(float)
-    dims = (mode_count, mode_count)
-    return lambda theta: exp_i_hermitian(np.dot(np.ravel(theta), basis).view(complex).reshape(dims))
-
-
 def entropy_objective(
     state: PureState, partition: Partition
 ) -> Callable[[np.ndarray], float]:
     """Build theta -> entropy_bits(apply_redefinition(state, exp_map(theta)), p).
 
-    The returned closure forms H(theta) in one product with a cached basis of
-    the Hermitian matrices and passes exp(-iH) = V diag(e^{-i lambda}) V^H
-    straight to the measure of ``_objective_core``, built here once: a
-    state past the ladder's size limit raises SizeLimitError, and a
-    partition that does not cover the state's modes PartitionError.
+    The returned closure assembles -H(theta) = H(-theta) with
+    ``hermitian_from_params``, as ``exp_map`` does, and passes
+    exp(-iH) = V diag(e^{-i lambda}) V^H, the substitution of
+    exp_map(theta), straight to the measure of ``_objective_core``, built
+    here once: a state past the ladder's size limit raises SizeLimitError,
+    and a partition that does not cover the state's modes PartitionError.
 
     The closure raises DimensionError for a theta whose length is not M^2
     and NumericalConsistencyError when the Schmidt coefficients miss a sum
@@ -363,13 +338,12 @@ def entropy_objective(
     measure, _ = _objective_core(state, partition)
     mode_count = state.mode_count
     n_params = mode_count * mode_count
-    substitution = _substitution(mode_count)
 
     def objective(theta: np.ndarray) -> float:
         if np.size(theta) != n_params:
             raise DimensionError(f"objective over {mode_count} modes takes M^2 = "
                                  f"{n_params} parameters, got {np.size(theta)}")
-        return measure(substitution(theta))[0]
+        return measure(exp_i_hermitian(hermitian_from_params(np.negative(theta))))[0]
 
     return objective
 
@@ -433,13 +407,14 @@ def optimize_entanglement(
     input_entropy = entropy_objective(state, partition)(np.zeros(n_params))
     sign = 1.0 if cfg.direction == "min" else -1.0
     evaluate, advance = _coset_search(state, partition, sign)
-    substitution = _substitution(state.mode_count)
 
     rng = np.random.default_rng(cfg.seed)
     # Each start is drawn as its restart begins, in restart order.
     starts = (rng.uniform(-math.pi, math.pi, n_params) if restart else np.zeros(n_params)
               for restart in range(cfg.restarts))
-    runs = [_lbfgs(evaluate, advance, substitution(theta), _MAX_ITERATIONS) for theta in starts]
+    # exp(-iH(theta)), the substitution of exp_map(theta).
+    runs = [_lbfgs(evaluate, advance, exp_i_hermitian(hermitian_from_params(-theta)),
+                   _MAX_ITERATIONS) for theta in starts]
     values = [sign * f for _, f, _, _, _ in runs]
     # min keeps the first of equal values: ties go to the lowest restart index.
     best_subst, best_f, _, _, best_converged = min(runs, key=lambda run: run[1])

@@ -26,7 +26,7 @@ import operator
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, SizeLimitError
-from .fock import Occupation, PureState
+from .fock import Occupation, PureState, sector_dimension
 
 # Default unitarity acceptance for user-supplied matrices.
 UNITARY_TOLERANCE = 1e-10
@@ -91,19 +91,21 @@ def validate_unitary(entries, tol: float = UNITARY_TOLERANCE) -> ModeUnitary:
     return ModeUnitary(entries, tol=tol)
 
 
-@functools.cache
-def _hermitian_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat positions in a dim x dim matrix of the diagonal, the strict upper
-    triangle and its mirror below, in the order of the parameter layout."""
+@functools.lru_cache(maxsize=16)
+def _hermitian_layout(dim: int) -> np.ndarray:
+    """Where ``hermitian_from_params`` scatters its values among the floats
+    of a dim x dim complex matrix, real and imaginary part of each entry in
+    turn: the parameters in their order (diagonal, then the real and the
+    imaginary parts of the strict upper triangle), then the real parts again
+    and the negated imaginary parts at the mirror below."""
     upper = np.triu_indices(dim, k=1)
-    layout = (
-        np.arange(dim) * (dim + 1),
-        upper[0] * dim + upper[1],
-        upper[1] * dim + upper[0],
+    above = 2 * (upper[0] * dim + upper[1])
+    below = 2 * (upper[1] * dim + upper[0])
+    positions = np.concatenate(
+        (2 * (dim + 1) * np.arange(dim), above, above + 1, below, below + 1)
     )
-    for positions in layout:
-        positions.setflags(write=False)
-    return layout
+    positions.setflags(write=False)
+    return positions
 
 
 def hermitian_from_params(theta) -> np.ndarray:
@@ -111,7 +113,8 @@ def hermitian_from_params(theta) -> np.ndarray:
 
     Layout: M diagonal entries, then the M(M-1)/2 real parts and then the
     M(M-1)/2 imaginary parts of the strict upper triangle, both in row-major
-    order.
+    order.  ``exp_map`` and the optimizer both assemble H here, with one
+    scatter through a cached table; H(-theta) is exactly -H(theta).
     """
     theta = np.asarray(theta, dtype=float).ravel()
     dim = math.isqrt(theta.size)
@@ -119,14 +122,12 @@ def hermitian_from_params(theta) -> np.ndarray:
         raise DimensionError(
             f"parameter vector length {theta.size} is not a positive square"
         )
-    diagonal, upper, lower = _hermitian_layout(dim)
-    pairs = upper.size
-    values = theta[dim : dim + pairs] + 1j * theta[dim + pairs :]
-    herm = np.zeros(dim * dim, dtype=complex)
-    herm[diagonal] = theta[:dim]
-    herm[upper] = values
-    herm[lower] = values.conj()
-    return herm.reshape(dim, dim)
+    imaginary = (dim * dim + dim) // 2
+    herm = np.zeros(2 * dim * dim)
+    herm[_hermitian_layout(dim)] = np.concatenate(
+        (theta, theta[dim:imaginary], -theta[imaginary:])
+    )
+    return herm.view(complex).reshape(dim, dim)
 
 
 def exp_i_hermitian(herm: np.ndarray) -> np.ndarray:
@@ -331,15 +332,26 @@ def _ladder(mode_count: int) -> _Ladder:
     return _Ladder(mode_count)
 
 
+@functools.lru_cache(maxsize=64)
+def _lowering(mode_count: int, total: int) -> tuple[np.ndarray, ...]:
+    """The ladder rung into sector `total` >= 1 read backwards, the
+    annihilators: (b_k psi)(m - e_k) = sqrt(m_k) psi(m) for every occupied
+    mode k of every occupation m, at flat position k * D_{total-1} +
+    index(m - e_k) of an (M, D_{total-1}) array.  Returns (positions,
+    sources, counts, sizes): per entry its position, the index of m in the
+    sector and m_k; and (D_total, D_{total-1})."""
+    gather, starts, counts, _ = _ladder(mode_count).rungs(total)[-1]
+    sources = np.repeat(np.arange(starts.size), np.diff(starts, append=gather.size))
+    return gather, sources, counts, (starts.size, sector_dimension(mode_count, total - 1))
+
+
 def _sector_occupations(mode_count: int, total: int) -> np.ndarray:
     """Occupations of sector `total`, one row each, in ladder order."""
     if total == 0:
         return np.zeros((1, mode_count), dtype=np.intp)
-    gather, starts, counts, _ = _ladder(mode_count).rungs(total)[-1]
-    rows = np.repeat(np.arange(starts.size), np.diff(starts, append=gather.size))
-    lower_size = math.comb(total - 1 + mode_count - 1, total - 1)
-    occupations = np.zeros((starts.size, mode_count), dtype=np.intp)
-    occupations[rows, gather // lower_size] = counts
+    positions, sources, counts, (size, lower) = _lowering(mode_count, total)
+    occupations = np.zeros((size, mode_count), dtype=np.intp)
+    occupations[sources, positions // lower] = counts
     return occupations
 
 

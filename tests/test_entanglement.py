@@ -5,6 +5,7 @@ import pytest
 
 from fockmodes import (
     NotNormalizedError,
+    NumericalConsistencyError,
     Partition,
     PartitionError,
     PureState,
@@ -210,6 +211,19 @@ def test_reduced_density_matrix_examples():
     rho, index = reduced_density_matrix(state, Partition((0,), (1, 2, 3)), side="A")
     assert index == [(2,), (0,)]
     np.testing.assert_allclose(rho, np.diag([0.25, 0.75]), atol=1e-12)
+
+
+def test_reduced_density_matrix_checks_its_trace(monkeypatch):
+    from fockmodes import entanglement
+
+    def doubled(state, partition):
+        matrix, rows, cols = coefficient_matrix(state, partition)
+        return 2.0 * matrix, rows, cols
+
+    monkeypatch.setattr(entanglement, "coefficient_matrix", doubled)
+    for side in ("A", "B"):
+        with pytest.raises(NumericalConsistencyError, match="sum to"):
+            reduced_density_matrix(two_photon_pair(), Partition((0,), (1,)), side=side)
 
 
 def test_reduced_density_matches_schmidt(rng):

@@ -1,6 +1,7 @@
 import math
 import operator
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_lbfgs_convex_quadratic():
 def test_lbfgs_shifted_quadratic():
     x, fval, _, _, _ = _lbfgs(quadratic(3.0), operator.add, np.array([0.0]), 400)
     assert x[0] == pytest.approx(3.0, abs=1e-4)
+
+
+def test_lbfgs_reports_the_iteration_cap():
+    # One iteration takes the first step but cannot reach the minimum at 3.
+    _, fval, values, gradients, converged = _lbfgs(
+        quadratic(3.0), operator.add, np.zeros(2), 1
+    )
+    assert (converged, values, gradients) == (False, 2, 2)
+    assert fval < 18.0
 
 
 def test_lbfgs_rejects_non_finite():
@@ -273,6 +283,22 @@ def test_objective_refuses_oversized_ladder_quickly():
     with pytest.raises(SizeLimitError, match="ladder rows"):
         entropy_objective(parse_state("|1000,0,0>"), Partition((0,), (1, 2)))
     assert time.perf_counter() - start < 1.0
+
+
+def test_objective_over_many_modes_keeps_no_table_over_parameters():
+    # One photon in 40 modes has 1 600 parameters; a table of M^2 Hermitian
+    # matrices over them would hold 41 MB.
+    state = parse_state("|1" + ",0" * 39 + ">")
+    part = Partition((0,), tuple(range(1, 40)))
+    theta = np.random.default_rng(3).uniform(-np.pi, np.pi, 40 * 40)
+    tracemalloc.start()
+    try:
+        value = entropy_objective(state, part)(theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= value <= 1.0 + 1e-12
+    assert peak < 5_000_000
 
 
 def test_objective_build_is_not_factorial_in_photons():

@@ -341,6 +341,41 @@ def test_hermitian_params_validation():
         exp_map(np.zeros(5))
 
 
+def hermitian_by_definition(theta):
+    """The parameter layout read entry by entry: M diagonal entries, then the
+    real and then the imaginary parts of the strict upper triangle, row-major."""
+    dim = math.isqrt(len(theta))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    herm = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        herm[i, i] = theta[i]
+    for p, (i, j) in enumerate(pairs):
+        real, imag = theta[dim + p], theta[dim + len(pairs) + p]
+        herm[i, j] = complex(real, imag)
+        herm[j, i] = complex(real, -imag)
+    return herm
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_hermitian_from_params_fills_its_layout(dim, rng):
+    from fockmodes.transform import hermitian_from_params
+
+    theta = rng.uniform(-np.pi, np.pi, dim * dim)
+    herm = hermitian_from_params(theta)
+    assert (herm == hermitian_by_definition(theta)).all()
+    # The optimizer's substitution exp(-iH) rests on H(-theta) = -H(theta).
+    assert (hermitian_from_params(-theta) == -herm).all()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 2, 3], ids=["diagonal", "real", "imag"])
+def test_exp_map_rejects_non_finite_parameters(bad, position):
+    theta = np.zeros(4)
+    theta[position] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NotUnitaryError):
+        exp_map(theta)
+
+
 def test_every_exported_name_resolves():
     import fockmodes
 

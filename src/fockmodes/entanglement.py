@@ -51,8 +51,7 @@ class Partition:
     def ensure_covers(self, mode_count: int) -> None:
         if sorted(self.side_a + self.side_b) != list(range(mode_count)):
             raise PartitionError(
-                f"partition {self.side_a}|{self.side_b} does not cover modes "
-                f"0..{mode_count - 1}"
+                f"partition {self} does not cover modes 0..{mode_count - 1}"
             )
 
     @classmethod

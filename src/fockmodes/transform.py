@@ -282,7 +282,8 @@ class _Ladder:
         self.mode_count = mode_count
         modes = np.arange(mode_count)
         ones = np.ones(mode_count, dtype=np.intp)
-        # Replaced whole, so a reader never sees a half-grown tuple.
+        # rungs() grows a list and publishes it as one tuple, so a reader
+        # never sees a half-grown tuple.
         self._rungs = ((modes, modes, ones, ones.astype(float)),)
 
     def rungs(self, top: int) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -295,9 +296,9 @@ class _Ladder:
                 f"{top} photons in {mode_count} modes need {rows} ladder rows, "
                 f"above the limit of {LADDER_ROW_LIMIT}"
             )
-        rungs = self._rungs
-        if len(rungs) >= top:
-            return rungs[:top]
+        if len(self._rungs) >= top:
+            return self._rungs[:top]
+        rungs = list(self._rungs)
         binom = _binomials(mode_count, top)
         for total in range(len(rungs) + 1, top + 1):
             gather, starts, counts, norms = rungs[-1]
@@ -322,9 +323,9 @@ class _Ladder:
             gather = np.insert(entries, ends, added * size + parent)
             counts = np.insert(counts[moved], ends, count_l)
             norms = norms[parent] * np.sqrt(count_l / total)
-            rungs += ((gather, ends - kept + np.arange(ends.size), counts, norms),)
-        self._rungs = rungs
-        return rungs
+            rungs.append((gather, ends - kept + np.arange(ends.size), counts, norms))
+        self._rungs = tuple(rungs)
+        return self._rungs
 
 
 @functools.lru_cache(maxsize=16)
@@ -388,18 +389,23 @@ def _rewriter(state: PureState):
     sum_k subst[j, k] b†_k.
 
     All that depends only on the state is prepared here once: the ladder
-    rungs and each sector's terms in batches of (picks, gathers).  A term
-    takes one step per photon, old modes in increasing order.  Row
-    step * T + i of `picks` selects, for term i of T, the old mode of that
-    step (one nonzero entry), so picks @ subst gives every step's factor
-    row at once.  The entry is sqrt(s + 1) / sqrt(c) for the step into
-    sector s + 1 that adds the c-th photon of its mode: the sqrt(s + 1) of
-    the ladder's scaling, and 1/sqrt(c) to keep every partial state a unit
-    vector.  The term's amplitude and its last step's entry ride on its
-    first pick.  The gathers are the middle steps' rung positions, offset to
-    each term's block of the (term, mode, occupation) outer product.  The
-    vacuum sector takes no step, and its plan is its amplitude array.  A
-    state whose largest sector of N photons in M modes needs more than
+    rungs and each sector's plan.  A term of N photons takes one step per
+    photon, old modes in increasing order.  Row i * N + step of the sector's
+    `picks` selects, for term i, the old mode of that step (one nonzero
+    entry), so picks @ subst gives every step's factor row at once.  The
+    entry is sqrt(s + 1) / sqrt(c) for the step into sector s + 1 that adds
+    the c-th photon of its mode: the sqrt(s + 1) of the ladder's scaling,
+    and 1/sqrt(c) to keep every partial state a unit vector.  `amps` holds
+    the terms' amplitudes, apart from the picks.
+
+    Terms climb in batches small enough that the intermediates hold about
+    _BATCH_CELLS entries.  Each rung into sectors 2..N has one table: its
+    positions offset to each term's block of the (term, mode, occupation)
+    outer product, one row per term of a full batch.  The plan lists the
+    batches as views (rows of `picks`, entries of `amps`, the tables); a
+    shorter last batch reads the first rows of the same tables.  The vacuum
+    sector takes no step, and its plan is its amplitude array.  A state
+    whose largest sector of N photons in M modes needs more than
     LADDER_ROW_LIMIT ladder rows raises SizeLimitError here.
     """
     mode_count = state.mode_count
@@ -415,30 +421,24 @@ def _rewriter(state: PureState):
         if total == 0:
             plans.append(amps)
             continue
-        shape = (len(terms), total)
-        steps = np.array(
-            [k for occ, _ in terms for k, c in enumerate(occ) for _ in range(c)]
-        ).reshape(shape)
-        scales = np.sqrt(np.arange(1, total + 1) / np.array(
-            [i for occ, _ in terms for c in occ for i in range(1, c + 1)]
-        ).reshape(shape)).astype(complex)
-        last = scales[:, -1].copy()
-        scales[:, -1] = 1.0
-        scales[:, 0] = amps * last
-        batch = max(1, _BATCH_CELLS // (total * rungs[total - 1][0].size))
-        batches = []
-        for first in range(0, len(terms), batch):
-            chosen = slice(first, first + batch)
-            count = len(terms[chosen])
-            picks = np.zeros((total, count, mode_count), dtype=complex)
-            picks[np.arange(total)[:, None], np.arange(count), steps[chosen].T] = scales[chosen].T
-            blocks = np.arange(count)[:, None]
-            gathers = [
-                rung[0] + blocks * (mode_count * below[1].size)
-                for below, rung in zip(rungs[: total - 2], rungs[1 : total - 1])
-            ]
-            batches.append((picks.reshape(-1, mode_count), gathers))
-        plans.append(batches)
+        steps = [k for occ, _ in terms for k, c in enumerate(occ) for _ in range(c)]
+        nths = [i for occ, _ in terms for c in occ for i in range(1, c + 1)]
+        picks = np.zeros((len(steps), mode_count), dtype=complex)
+        picks[np.arange(len(steps)), steps] = np.sqrt(
+            np.tile(np.arange(1, total + 1), len(terms)) / nths
+        )
+        cap = _BATCH_CELLS // (total * rungs[total - 1][0].size)
+        batch = min(len(terms), max(1, cap))
+        blocks = np.arange(batch)[:, None, None]
+        tables = [
+            rung[0] + blocks * (mode_count * below[1].size)
+            for below, rung in zip(rungs, rungs[1:total])
+        ]
+        plans.append([
+            (picks[first * total : (first + batch) * total], amps[first : first + batch],
+             [table[: len(terms) - first] for table in tables])
+            for first in range(0, len(terms), batch)
+        ])
 
     def rewrite(subst: np.ndarray) -> np.ndarray:
         parts = [
@@ -458,21 +458,23 @@ def _climb(subst: np.ndarray, batches, rungs, total: int) -> np.ndarray:
     """Amplitudes over sector `total` >= 1, in ladder order, of the sector's
     terms with every old a†_j replaced by sum_k subst[j, k] b†_k.
 
-    Each batch climbs from the vacuum, a vector of ones over its terms;
-    sector 1 is in mode order, so past one photon the first step is the
-    factor row itself."""
+    Every batch takes the same steps.  Its first factor rows are its vectors
+    over sector 1, which is in mode order.  Each further photon is one rung:
+    the outer product of the step's factor rows with the vectors, one gather
+    through the rung's table, and one ``reduceat`` over the occupations of
+    the sector above.  The batch's amplitudes then sum its terms, and the
+    sector's sum is scaled once by the top rung's norms."""
     amplitudes = None
-    for picks, gathers in batches:
-        factors = np.dot(picks, subst).reshape(total, -1, len(subst))
-        climbed = factors[0] if total > 1 else np.ones((factors.shape[1], 1))
-        for step, gather in enumerate(gathers, start=1):
-            outer = factors[step][:, :, None] * climbed[:, None, :]
-            climbed = np.add.reduceat(outer.ravel()[gather], rungs[step][1], axis=1)
-        # The last step sums the terms in one matrix product before its gather.
-        gather, starts, _, norms = rungs[total - 1]
-        folded = np.dot(factors[-1].T, climbed).ravel()[gather]
-        part = np.add.reduceat(folded, starts) * norms
+    for picks, amps, tables in batches:
+        # Factor rows as columns (term, step, mode, 1); sector 1 as rows.
+        factors = np.dot(picks, subst).reshape(amps.size, total, -1, 1)
+        climbed = factors[:, 0].transpose(0, 2, 1)
+        for step, table in enumerate(tables, start=1):
+            outer = factors[:, step] * climbed
+            climbed = np.add.reduceat(outer.ravel()[table], rungs[step][1], axis=2)
+        part = np.dot(amps, climbed[:, 0])
         amplitudes = part if amplitudes is None else amplitudes + part
+    amplitudes *= rungs[total - 1][3]
     return amplitudes
 
 

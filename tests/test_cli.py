@@ -259,9 +259,10 @@ def test_paper_suite_table_and_mismatch_exit(monkeypatch, capsys):
 
 def test_partition_not_covering_is_usage_error(capsys):
     assert run_cli(["entropy", "|01>+|10>", "--partition", "0|2"]) == 2
+    assert capsys.readouterr().err == "error: partition 0|2 does not cover modes 0..1\n"
     argv = ["optimize", "|110>+|011>", "--partition", "0|1", "--direction", "max"]
     assert run_cli(argv) == 2
-    assert "does not cover" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: partition 0|1 does not cover modes 0..2\n"
 
 
 @pytest.mark.parametrize("command", ["entropy", "rank-bound"])

@@ -308,7 +308,7 @@ def test_objective_build_is_not_factorial_in_photons():
     assert objective(np.zeros(4)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("ket", ["|20> + |02>", "|19,0>"], ids=["dense", "sparse"])
+@pytest.mark.parametrize("ket", ["|20> + |02>", "|19,0>"], ids=["noon2", "fock190"])
 def test_objective_rejects_wrong_length_theta(ket):
     state = parse_state(ket)
     assert state.mode_count == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,28 @@ def test_rewrite_in_batches_of_one_term_matches_one_batch(monkeypatch, rng):
     whole = apply_redefinition(state, unitary)
     monkeypatch.setattr(transform, "_BATCH_CELLS", 1)
     assert states_close(apply_redefinition(state, unitary), whole, 1e-12)
+
+
+def test_batches_share_one_gather_table_per_rung(monkeypatch):
+    # 200 terms of 5 photons in 8 modes, one term per batch: 200 batches.
+    # Each keeping its own copy of the gather tables would hold 2.4 MB.
+    from fockmodes import transform
+
+    state = PureState(8, dict.fromkeys(enumerate_sector(8, 5)[:200], 1.0))
+    # Build the ladder first, so the trace counts the plan alone.
+    transform._ladder(8).rungs(5)
+    monkeypatch.setattr(transform, "_BATCH_CELLS", 1)
+    tracemalloc.start()
+    try:
+        _, rewrite = transform._rewriter(state)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    # The identity substitution gives back the state's own amplitudes.
+    rewritten = dict(zip(transform._sector_labels(8, 5), rewrite(np.eye(8))))
+    for occ, amp in state.amplitudes.items():
+        assert rewritten[occ] == pytest.approx(amp, abs=1e-14)
 
 
 def test_rewrite_refuses_oversized_ladder_quickly():

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .entanglement import Partition, rank_bound, schmidt_spectrum
 from .errors import (
@@ -210,30 +210,15 @@ def _cmd_suite(args) -> int:
     rows = run_reference_suite(seed=args.seed)
     all_pass = all(row.passed for row in rows)
     if args.json:
-        doc = {
-            "seed": args.seed,
-            "rows": [
-                {
-                    "id": row.row_id,
-                    "label": row.label,
-                    "expected": row.expected,
-                    "computed": row.computed,
-                    "tolerance": row.tolerance,
-                    "mode": row.mode,
-                    "pass": row.passed,
-                }
-                for row in rows
-            ],
-            "all_pass": all_pass,
-        }
-        print(json.dumps(doc))
+        rows_json = [{**asdict(row), "pass": row.passed} for row in rows]
+        print(json.dumps({"seed": args.seed, "rows": rows_json, "all_pass": all_pass}))
     else:
         width = max(len(row.label) for row in rows)
         for row in rows:
             verdict = "PASS" if row.passed else "FAIL"
             relation = ">" if row.mode == "gt" else "~"
             print(
-                f"[{verdict}] {row.row_id:>5}  {row.label:<{width}}  "
+                f"[{verdict}] {row.id:>5}  {row.label:<{width}}  "
                 f"expected {relation} {row.expected:.6f}  "
                 f"computed {row.computed:.6f}  tol {row.tolerance:g}"
             )

@@ -44,8 +44,7 @@ from .transform import (
     ModeUnitary,
     _lowering,
     _rewriter,
-    _sector_index,
-    _sector_occupations,
+    _side_index,
     apply_redefinition,
     exp_i_hermitian,
     hermitian_from_params,
@@ -201,17 +200,15 @@ def _block_layout(
     """
     partition.ensure_covers(mode_count)
     period = math.gcd(*(total - totals[0] for total in totals)) or max(totals) + 1
-    sectors = [_sector_occupations(mode_count, total) for total in totals]
-    sides = [np.vstack([occupations[:, list(side)] for occupations in sectors])
-             for side in (partition.side_a, partition.side_b)]
-    block = sides[0].sum(axis=1) % period
     # Each side's index counts the occupations with fewer photons first, so
     # it ranks the occupations of every total at once.
-    indices = [_sector_index(counts, max(totals)) for counts in sides]
+    sides = [_side_index(mode_count, totals, side)
+             for side in (partition.side_a, partition.side_b)]
+    block = sides[0][0] % period
     # A block's rows (columns) are its distinct side-A (side-B) occupations,
     # in the order of their index.
     local, extent = [], []
-    for index in indices:
+    for _, index in sides:
         span = int(index.max()) + 1
         keys, rank = np.unique(block * span + index, return_inverse=True)
         size = np.bincount(keys // span, minlength=period)
@@ -296,10 +293,9 @@ def _objective_core(state: PureState, partition: Partition):
             grad += np.append((left * sigma[:, None, :]) @ right, 0.0)[cells]
         r = np.zeros((mode_count, mode_count), dtype=complex)
         pair = np.stack((amplitudes, grad))
-        # Sectors follow one another in the amplitudes; the vacuum, first when
-        # populated, has nothing to annihilate.
-        end = int(totals[0] == 0)
-        for total in totals[end:]:
+        # Sectors follow one another in the amplitudes.
+        end = 0
+        for total in totals:
             positions, sources, counts, (size, lower) = _lowering(mode_count, total)
             start, end = end, end + size
             lowered = np.zeros((2, mode_count * lower), dtype=complex)

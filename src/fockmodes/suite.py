@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .entanglement import (
 )
 from .fock import PureState, inner_product, normalize
 from .ketparse import parse_state
-from .optimize import OptConfig, OptResult, optimize_entanglement
+from .optimize import OptConfig, optimize_entanglement
 from .transform import ModeUnitary, apply_redefinition, beam_splitter
 
 LOG2_3 = math.log2(3.0)
@@ -103,7 +104,7 @@ def crossed_pair_tilt() -> ModeUnitary:
 class SuiteRow:
     """One expected-vs-computed comparison of the reproduction table."""
 
-    row_id: str
+    id: str
     label: str
     expected: float
     computed: float
@@ -138,14 +139,46 @@ def _moduli_deviation(state: PureState, expected: dict[tuple, float]) -> float:
     return max(deviation, off)
 
 
-def _opt(state, partition, direction, seed) -> OptResult:
-    return optimize_entanglement(state, partition, OptConfig(direction, seed=seed))
+# The published extrema, one optimizer run each: row id, label, state
+# factory, cut, direction, expected entropy in bits and tolerance.
+# ``run_reference_suite`` runs them in this order.
+EXTREMA = (
+    ("6.1", "two-photon pair: minimal entropy (1|1)",
+     two_photon_pair, "0|1", "min", 0.0, 1e-6),
+    ("6.2", "two-photon pair: maximal entropy (1|1)",
+     two_photon_pair, "0|1", "max", LOG2_3, 1e-3),
+    ("7.1", "crossed pairs (4 modes): minimal entropy (01|23)",
+     partial(crossed_pair_state, 2), "0,1|2,3", "min", 1.0, 1e-6),
+    ("7.2", "crossed pairs (4 modes): maximal entropy (01|23)",
+     partial(crossed_pair_state, 2), "0,1|2,3", "max", 2.0, 1e-3),
+    ("8.1", "crossed pairs (4 modes): minimal entropy (0|123)",
+     partial(crossed_pair_state, 2), "0|1,2,3", "min", 2.0 - 0.75 * LOG2_3, 5e-4),
+    ("8.3", "crossed pairs (4 modes): maximal entropy (0|123)",
+     partial(crossed_pair_state, 2), "0|1,2,3", "max", 1.3002, 5e-4),
+    ("9.1", "crossed pairs (6 modes): minimal entropy (012|345)",
+     partial(crossed_pair_state, 3), "0,1,2|3,4,5", "min", 1.0, 1e-6),
+    ("9.2", "crossed pairs (6 modes): maximal entropy (012|345)",
+     partial(crossed_pair_state, 3), "0,1,2|3,4,5", "max", math.log2(5.0), 1e-3),
+    ("10.3", "crossed pairs conjecture: N=4 maximum is log2(6)",
+     partial(crossed_pair_state, 4), "0,1,2,3|4,5,6,7", "max", math.log2(6.0), 1e-3),
+    ("10.4", "crossed pairs conjecture: N=5 maximum is log2(7)",
+     partial(crossed_pair_state, 5), "0,1,2,3,4|5,6,7,8,9", "max", math.log2(7.0), 1e-3),
+    ("11.2", "four-photon state: minimal entropy (01|23)",
+     four_photon_state, "0,1|2,3", "min", LOG2_3, 1e-6),
+    ("11.3", "four-photon state: maximal entropy (01|23)",
+     four_photon_state, "0,1|2,3", "max", 2.9798, 2e-3),
+    ("12.1", "vacuum+pair: minimal entropy (1|1)",
+     vacuum_plus_pair, "0|1", "min", 0.3546, 5e-4),
+    ("12.2", "vacuum+pair: maximal entropy (1|1)",
+     vacuum_plus_pair, "0|1", "max", 1.0071, 5e-4),
+)
 
 
 def run_reference_suite(seed: int = 0) -> list[SuiteRow]:
     """Compute every row of the reproduction table.
 
-    Optimizer rows run OptConfig's default 24 restarts from `seed`.
+    The entries of EXTREMA run in table order, each with OptConfig's default
+    24 restarts from `seed`; rows come out in the order of their numbers.
     """
     rows: list[SuiteRow] = []
 
@@ -156,7 +189,6 @@ def run_reference_suite(seed: int = 0) -> list[SuiteRow]:
 
     cut_11 = Partition((0,), (1,))
     cut_22 = Partition((0, 1), (2, 3))
-    cut_13 = Partition((0,), (1, 2, 3))
     cut_33 = Partition((0, 1, 2), (3, 4, 5))
 
     # 1: one photon over two modes, balanced mix removes the entanglement.
@@ -223,79 +255,40 @@ def run_reference_suite(seed: int = 0) -> list[SuiteRow]:
     add("5.5", "rank bound: 4 photons, 2|2",
         9, rank_bound(four_photon_state(), cut_22), 0)
 
-    # 6: bunched pair extrema.
-    state = two_photon_pair()
-    add("6.1", "two-photon pair: minimal entropy (1|1)",
-        0.0, _opt(state, cut_11, "min", seed).best_entropy_bits, 1e-6)
-    add("6.2", "two-photon pair: maximal entropy (1|1)",
-        LOG2_3, _opt(state, cut_11, "max", seed).best_entropy_bits, 1e-3)
+    runs = {}
+    for row_id, label, factory, cut, direction, expected, tolerance in EXTREMA:
+        runs[row_id] = optimize_entanglement(
+            factory(), Partition.from_string(cut), OptConfig(direction, seed=seed)
+        )
+        add(row_id, label, expected, runs[row_id].best_entropy_bits, tolerance)
 
-    # 7: crossed pairs, pair-vs-pair cut.
-    state = crossed_pair_state(2)
-    add("7.1", "crossed pairs (4 modes): minimal entropy (01|23)",
-        1.0, _opt(state, cut_22, "min", seed).best_entropy_bits, 1e-6)
-    max_22 = _opt(state, cut_22, "max", seed).best_entropy_bits
-    add("7.2", "crossed pairs (4 modes): maximal entropy (01|23)",
-        2.0, max_22, 1e-3)
-
-    # 8: crossed pairs, one mode against three.
-    min_13 = _opt(state, cut_13, "min", seed)
-    add("8.1", "crossed pairs (4 modes): minimal entropy (0|123)",
-        2.0 - 0.75 * LOG2_3, min_13.best_entropy_bits, 5e-4)
+    # 8.2: the single-mode spectrum at 8.1's minimum.
     rho, _ = reduced_density_matrix(
-        apply_redefinition(state, min_13.best_unitary), cut_13, side="A"
+        apply_redefinition(crossed_pair_state(2), runs["8.1"].best_unitary),
+        Partition((0,), (1, 2, 3)),
+        side="A",
     )
     eigvals = np.sort(np.linalg.eigvalsh(rho))[::-1]
     rho_err = max(abs(eigvals[0] - 0.75), abs(eigvals[1] - 0.25))
     add("8.2", "crossed pairs (4 modes): single-mode spectrum at the minimum",
         0.0, rho_err, 5e-4)
-    add("8.3", "crossed pairs (4 modes): maximal entropy (0|123)",
-        1.3002, _opt(state, cut_13, "max", seed).best_entropy_bits, 5e-4)
-
-    # 9: six-mode crossed pairs, triplet cut.
-    state = crossed_pair_state(3)
-    add("9.1", "crossed pairs (6 modes): minimal entropy (012|345)",
-        1.0, _opt(state, cut_33, "min", seed).best_entropy_bits, 1e-6)
-    max_33 = _opt(state, cut_33, "max", seed).best_entropy_bits
-    add("9.2", "crossed pairs (6 modes): maximal entropy (012|345)",
-        math.log2(5.0), max_33, 1e-3)
 
     # 10: the log2(N+2) ceiling is reached for every checked N.
     add("10.1", "crossed pairs conjecture: N=2 maximum is log2(4)",
-        2.0, max_22, 1e-3)
+        2.0, runs["7.2"].best_entropy_bits, 1e-3)
     add("10.2", "crossed pairs conjecture: N=3 maximum is log2(5)",
-        math.log2(5.0), max_33, 1e-3)
-    state = crossed_pair_state(4)
-    cut_44 = Partition((0, 1, 2, 3), (4, 5, 6, 7))
-    add("10.3", "crossed pairs conjecture: N=4 maximum is log2(6)",
-        math.log2(6.0),
-        _opt(state, cut_44, "max", seed).best_entropy_bits, 1e-3)
-    state = crossed_pair_state(5)
-    cut_55 = Partition(tuple(range(5)), tuple(range(5, 10)))
-    add("10.4", "crossed pairs conjecture: N=5 maximum is log2(7)",
-        math.log2(7.0), _opt(state, cut_55, "max", seed).best_entropy_bits, 1e-3)
+        math.log2(5.0), runs["9.2"].best_entropy_bits, 1e-3)
 
-    # 11: four-photon state, pair-vs-pair cut.
-    state = four_photon_state()
+    # 11: the four-photon state's input entropy, and the spectrum at its maximum.
     add("11.1", "four-photon state: input entropy (01|23)",
-        LOG2_3, schmidt_spectrum(state, cut_22).entropy_bits, 1e-6)
-    add("11.2", "four-photon state: minimal entropy (01|23)",
-        LOG2_3, _opt(state, cut_22, "min", seed).best_entropy_bits, 1e-6)
-    max_run = _opt(state, cut_22, "max", seed)
-    add("11.3", "four-photon state: maximal entropy (01|23)",
-        2.9798, max_run.best_entropy_bits, 2e-3)
-    spectrum = max_run.best_spectrum
+        LOG2_3, schmidt_spectrum(four_photon_state(), cut_22).entropy_bits, 1e-6)
+    spectrum = runs["11.3"].best_spectrum
     add("11.4", "four-photon state: Schmidt rank at the maximum",
         9, spectrum.numerical_rank, 0)
     top = spectrum.lambdas[: spectrum.numerical_rank]
     add("11.5", "four-photon state: spectrum spread at the maximum (> 0.01)",
         0.01, float(top[0] - top[-1]), 0.0, mode="gt")
 
-    # 12: vacuum+pair extrema.
-    state = vacuum_plus_pair()
-    add("12.1", "vacuum+pair: minimal entropy (1|1)",
-        0.3546, _opt(state, cut_11, "min", seed).best_entropy_bits, 5e-4)
-    add("12.2", "vacuum+pair: maximal entropy (1|1)",
-        1.0071, _opt(state, cut_11, "max", seed).best_entropy_bits, 5e-4)
-
+    # Rows in the order of their published numbers.
+    rows.sort(key=lambda row: tuple(map(int, row.id.split("."))))
     return rows

@@ -254,7 +254,7 @@ class _Ladder:
     `mode_count` modes to s + 1 photons, grown on demand.
 
     Sector s lists its occupations in colex order of their sorted mode
-    multisets (ranked by ``_sector_index``): for each mode L in turn, the
+    multisets (ranked by ``_side_index``): for each mode L in turn, the
     occupations p of sector s-1 supported on modes <= L, with one more photon
     in L.
 
@@ -335,51 +335,64 @@ def _ladder(mode_count: int) -> _Ladder:
 
 @functools.lru_cache(maxsize=64)
 def _lowering(mode_count: int, total: int) -> tuple[np.ndarray, ...]:
-    """The ladder rung into sector `total` >= 1 read backwards, the
-    annihilators: (b_k psi)(m - e_k) = sqrt(m_k) psi(m) for every occupied
-    mode k of every occupation m, at flat position k * D_{total-1} +
-    index(m - e_k) of an (M, D_{total-1}) array.  Returns (positions,
-    sources, counts, sizes): per entry its position, the index of m in the
-    sector and m_k; and (D_total, D_{total-1})."""
+    """The ladder rung into sector `total` read backwards, the annihilators:
+    (b_k psi)(m - e_k) = sqrt(m_k) psi(m) for every occupied mode k of every
+    occupation m, at flat position k * D_{total-1} + index(m - e_k) of an
+    (M, D_{total-1}) array.  Returns (positions, sources, counts, sizes):
+    per entry its position, the index of m in the sector and m_k, each
+    occupation's entries in increasing mode order; and (D_total,
+    D_{total-1}).  The vacuum, sector 0, has no entries and sizes (1, 0)."""
+    if total == 0:
+        return (np.zeros(0, dtype=np.intp),) * 3 + ((1, 0),)
     gather, starts, counts, _ = _ladder(mode_count).rungs(total)[-1]
     sources = np.repeat(np.arange(starts.size), np.diff(starts, append=gather.size))
     return gather, sources, counts, (starts.size, sector_dimension(mode_count, total - 1))
 
 
-def _sector_occupations(mode_count: int, total: int) -> np.ndarray:
-    """Occupations of sector `total`, one row each, in ladder order."""
-    if total == 0:
-        return np.zeros((1, mode_count), dtype=np.intp)
+@functools.lru_cache(maxsize=64)
+def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
+    """Occupations of sector `total` in ladder order."""
     positions, sources, counts, (size, lower) = _lowering(mode_count, total)
     occupations = np.zeros((size, mode_count), dtype=np.intp)
     occupations[sources, positions // lower] = counts
-    return occupations
+    return tuple(map(tuple, occupations.tolist()))
 
 
-@functools.lru_cache(maxsize=64)
-def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
-    return tuple(map(tuple, _sector_occupations(mode_count, total).tolist()))
-
-
-def _sector_index(counts: np.ndarray, top: int) -> np.ndarray:
-    """For each row of `counts`, an occupation of some modes holding at most
-    `top` photons, its index among all occupations of those modes, ordered
-    by photon number and then as on the ladder.
+def _side_index(mode_count: int, totals, side) -> tuple[np.ndarray, np.ndarray]:
+    """For each occupation of the sectors `totals`, in ladder order and
+    sector after sector, the photons it holds on the modes `side` and the
+    index of its restriction to them among all occupations of those modes,
+    ordered by photon number and then as on the ladder of the side's modes
+    numbered in increasing order.
 
     On the ladder the n photons of an occupation on modes 0..k with a top
     photon in k follow the binom[k - 1, n] occupations on modes below k;
     peeling off the top photons one at a time and summing these offsets by
     the hockey-stick identity ranks an occupation with f_k photons on modes
-    <= k at the sum over k of binom[k, f_k] - binom[k, f_{k-1}].
+    <= k at the sum over k of binom[k, f_k] - binom[k, f_{k-1}], a sum over
+    the occupied modes only.  ``_lowering`` lists each occupation's occupied
+    modes in increasing order with their counts m_k, so the side's entries
+    give f_k as a running photon sum per occupation and f_{k-1} = f_k - m_k.
     """
-    filled = np.cumsum(counts, axis=1)
-    width = counts.shape[1]
-    binom = _binomials(width + 1, top)
-    runs = np.arange(width)
-    # binom[width, n] - binom[width - 1, n] = C(n - 1 + width, width) occupations
-    # hold fewer than n photons.
-    below = binom[width, filled[:, -1]] - binom[width - 1, filled[:, -1]]
-    return below + (binom[runs, filled] - binom[runs, filled - counts]).sum(axis=1)
+    local = np.full(mode_count, -1)
+    local[sorted(side)] = np.arange(len(side))
+    binom = _binomials(len(side) + 1, max(totals))
+    photons, indices = [], []
+    for total in totals:
+        positions, sources, counts, (size, lower) = _lowering(mode_count, total)
+        modes = local[positions // lower]
+        kept = modes >= 0
+        modes, sources, counts = modes[kept], sources[kept], counts[kept]
+        # Float sums of integers below the ladder's row count are exact.
+        held = np.bincount(sources, counts, size).astype(np.intp)
+        running = np.cumsum(counts) - (np.cumsum(held) - held)[sources]
+        steps = binom[modes, running] - binom[modes, running - counts]
+        # binom[width, n] - binom[width - 1, n] = C(n - 1 + width, width)
+        # occupations of the side's width modes hold fewer than n photons.
+        below = binom[-1, held] - binom[-2, held]
+        photons.append(held)
+        indices.append(below + np.bincount(sources, steps, size).astype(np.intp))
+    return np.concatenate(photons), np.concatenate(indices)
 
 
 def _rewriter(state: PureState):

@@ -24,6 +24,7 @@ from fockmodes import (
 )
 from fockmodes.optimize import (
     MAX_RESTARTS,
+    _block_layout,
     _coset_search,
     _lbfgs,
     _objective_core,
@@ -36,6 +37,7 @@ from fockmodes.suite import (
     two_photon_pair,
     vacuum_plus_pair,
 )
+from fockmodes.transform import _lowering
 
 from conftest import random_state
 
@@ -241,11 +243,16 @@ def _spread_state(mode_count):
         (parse_state("|2,1,2,2>"), "2,3|0,1"),
         (four_photon_state(), "0,1|2,3"),
         (vacuum_plus_pair(), "0|1"),
+        # Sides listed out of order: the layout numbers each side's modes in
+        # increasing order.
+        (four_photon_state(), "3,1|0,2"),
+        (parse_state("|000> + 0.5i*|110> - |101> + |020>"), "2,0|1"),
     ],
     ids=[
         "noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40",
         "vacuum", "vacuum-triple3", "fock1200", "fock444", "fock190",
         "crossed10", "fock2122", "four-photon", "vacuum-pair",
+        "four-photon-unsorted", "vacuum-pair3-unsorted",
     ],
 )
 def test_dense_objective_matches_sparse_rewrite(state, cut):
@@ -299,6 +306,23 @@ def test_objective_over_many_modes_keeps_no_table_over_parameters():
         tracemalloc.stop()
     assert 0.0 <= value <= 1.0 + 1e-12
     assert peak < 5_000_000
+
+
+def test_cold_layout_over_many_modes_reads_the_ladder_entries():
+    # Two photons in 276 modes: 38 226 occupations, whose dense
+    # (occupation, mode) array alone would hold 84 MB.
+    part = Partition(tuple(range(138)), tuple(range(138, 276)))
+    _lowering(276, 2)
+    tracemalloc.start()
+    try:
+        bins, thin_count, cells, shape = _block_layout.__wrapped__(276, (2,), part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The sides hold 0|2, 1|1 and 2|0 photons: two thin blocks and a square one.
+    assert (thin_count, shape) == (2, (1, 138, 138))
+    assert bins.size == 2 * cells.size == 2 * math.comb(277, 2)
+    assert peak < 40_000_000
 
 
 def test_objective_build_is_not_factorial_in_photons():

@@ -315,6 +315,26 @@ def test_batches_share_one_gather_table_per_rung(monkeypatch):
         assert rewritten[occ] == pytest.approx(amp, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "mode_count, totals, side",
+    [(3, (2,), (0, 1, 2)), (4, (0, 2, 3), (3, 1)), (5, (1, 4), (0, 2, 4)), (3, (0,), (1,))],
+)
+def test_side_index_ranks_restrictions_in_ladder_order(mode_count, totals, side):
+    # The side's occupations by photon number, then as the ladder lists them
+    # over the side's modes in increasing order.
+    from fockmodes.transform import _sector_labels, _side_index
+
+    order = [occ for n in range(max(totals) + 1) for occ in _sector_labels(len(side), n)]
+    restricted = [
+        tuple(occ[k] for k in sorted(side))
+        for total in totals
+        for occ in _sector_labels(mode_count, total)
+    ]
+    photons, index = _side_index(mode_count, totals, side)
+    assert photons.tolist() == [sum(occ) for occ in restricted]
+    assert index.tolist() == [order.index(occ) for occ in restricted]
+
+
 def test_rewrite_refuses_oversized_ladder_quickly():
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="ladder rows"):

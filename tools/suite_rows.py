@@ -6,10 +6,12 @@
 Imports fockmodes from PATH (a checkout's ``src`` directory) and nowhere
 else, wraps the module-level ``optimize_entanglement`` that the suite's
 optimizer rows call, and runs ``run_reference_suite(seed)`` once.  Prints one
-JSON line per optimizer call (call index, mode count, direction, wall ms,
-``OptResult.evaluations`` and ``OptResult.gradient_evaluations``, the
-search's values and gradients; 0 gradients for a tree whose ``OptResult``
-has no such field), then one line with the suite's totals.  To
+JSON line per optimizer call (call index, row id, mode count, direction,
+wall ms, ``OptResult.evaluations`` and ``OptResult.gradient_evaluations``,
+the search's values and gradients; 0 gradients for a tree whose
+``OptResult`` has no such field), then one line with the suite's totals.
+The row ids are those of ``suite.EXTREMA``, whose loop makes the calls in
+table order; a tree without that table prints the call index alone.  To
 compare two trees, alternate runs of this script on each.  BLAS is pinned to
 one thread, as in ``bench/run.py``, so the timings do not switch between
 one- and two-thread modes from process to process.
@@ -37,12 +39,16 @@ def main() -> None:
 
     calls = []
     optimize = suite.optimize_entanglement
+    row_ids = [extremum[0] for extremum in getattr(suite, "EXTREMA", ())]
 
     def timed(state, partition, cfg):
         start = time.perf_counter()
         result = optimize(state, partition, cfg)
+        call = {"call": len(calls)}
+        if len(calls) < len(row_ids):
+            call["id"] = row_ids[len(calls)]
         calls.append({
-            "call": len(calls),
+            **call,
             "modes": state.mode_count,
             "direction": cfg.direction,
             "wall_ms": round((time.perf_counter() - start) * 1000.0, 1),

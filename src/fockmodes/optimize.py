@@ -8,10 +8,11 @@ IEEE Trans. Signal Process. 56(3), 2008): a step s of 2|A||B| real
 coordinates takes U to exp(iP(s)) U, where P(s) = [[0, Z], [Z^H, 0]]
 couples the sides through the complex |A| x |B| block Z with the real and
 imaginary parts s, and the gradient in these coordinates is exact
-(``_objective_core``).  Restart 0 starts at the identity and restarts 1..
-at exp_map of seeded uniform points in [-pi, pi]^{M^2}.  Every accepted
-step descends, so the input state's own entropy is a structural lower
-(upper) bound on the reported maximum (minimum).
+(``_coset_search``, the one build of the objective).  Restart 0 starts at
+the identity and restarts 1.. at exp_map of seeded uniform points in
+[-pi, pi]^{M^2}.  Every accepted step descends, so the input state's own
+entropy is a structural lower (upper) bound on the reported maximum
+(minimum).
 
 A restart ends where its gradient vanishes, so restart 0 ends at once
 wherever the identity is stationary: the maximum of |20> + |02> across 0|1
@@ -231,33 +232,45 @@ def _block_layout(
     return bins, thin_count, cells, shape
 
 
-def _objective_core(state: PureState, partition: Partition):
-    """Build the entropy of `state` rewritten by a substitution matrix, and
-    its gradient over the mode redefinitions.
+def _entropy_derivative(square: np.ndarray) -> np.ndarray:
+    """-2(log2 lambda + 1/ln 2), twice the derivative of -lambda log2 lambda:
+    the entropy's gradient over a thin block's amplitudes is this times the
+    amplitudes, and f'(sigma) this times sigma.  Where lambda is 0 it
+    multiplies a zero, so its value there does not matter."""
+    return -2.0 * (np.log2(np.where(square > 0.0, square, 1.0)) + 1.0 / math.log(2.0))
 
-    Returns (measure, slope).  measure(subst) rewrites the state through the
-    photon-number ladder of ``apply_redefinition`` (``transform._rewriter``)
-    with every old a†_j replaced by sum_k subst[j, k] b†_k, takes the block
-    spectrum through the cached ``_block_layout`` (one ``np.bincount`` of
-    |amplitude|^2 gives the coefficient of every block with one row or
-    column, one stacked SVD those of the others), checks with
-    ``_require_unit_sum`` that the coefficients sum to one within 1e-10,
-    raising NumericalConsistencyError otherwise, and returns
-    (``entropy_of_spectrum``, amplitudes, coefficients).
 
-    slope(amplitudes, coefficients) of one measure returns the M x M matrix
-    R_kl = <G| b_k† b_l |psi'>, where psi' is the rewritten state and G the
-    gradient of the entropy over its amplitudes: on each Schmidt block
-    G = U diag(f'(sigma)) V^H with f(sigma) = -sigma^2 log2 sigma^2 (Lewis,
-    Math. Oper. Res. 21, 1996), which on a thin block is the amplitudes
-    times -2(log2 lambda + 1/ln 2).  Moving the redefinition U to
-    exp(i eps X) U for a Hermitian X substitutes
+def _coset_search(state: PureState, partition: Partition, sign: float):
+    """(evaluate, advance) for ``_lbfgs`` over the coset coordinates: the one
+    build of the entropy of `state` rewritten by a substitution matrix.
+
+    A point is the substitution matrix S = U^H of a redefinition U.
+    evaluate(S) rewrites the state through the photon-number ladder of
+    ``apply_redefinition`` (``transform._rewriter``) with every old a†_j
+    replaced by sum_k S[j, k] b†_k, takes the block spectrum through the
+    cached ``_block_layout`` (one ``np.bincount`` of |amplitude|^2 gives the
+    coefficient of every block with one row or column, one stacked SVD those
+    of the others), checks with ``_require_unit_sum`` that the coefficients
+    sum to one within 1e-10, raising NumericalConsistencyError otherwise,
+    and returns sign times ``entropy_of_spectrum`` and a function of no
+    arguments giving sign times the gradient over the steps s at that point.
+    advance(S, s) is S exp(-iP(s)), the substitution of exp(iP(s)) U.
+
+    The gradient reads R_kl = <G| b_k† b_l |psi'>, where psi' is the
+    rewritten state and G the gradient of the entropy over its amplitudes:
+    on each thick Schmidt block G = U diag(f'(sigma)) V^H with
+    f(sigma) = -sigma^2 log2 sigma^2 (Lewis, Math. Oper. Res. 21, 1996),
+    from the singular vectors of the stack the point filled, and on a thin
+    block G is the amplitudes times -2(log2 lambda + 1/ln 2).  Moving U
+    to exp(i eps X) U for a Hermitian X substitutes
     b†_l -> b†_l - i eps sum_k X_lk b†_k, the one-body operator
     sum X_lk b†_k b_l on psi', so the entropy moves by eps Im tr(X R): the
-    gradient over X is (R - R^H) / 2i.  Each sector's b_k psi' and b_k G,
-    for every k at once, are one scatter along the ladder rung read
-    backwards (``transform._lowering``, scaled by the square roots of its
-    counts), and its share of R one product of the two.
+    gradient over X is (R - R^H) / 2i, and its A x B block, doubled and read
+    as pairs of floats, the gradient over the real and imaginary parts of Z.
+    Each sector's b_k psi' and b_k G, for every k at once, are one scatter
+    along the ladder rung read backwards (``transform._lowering``, scaled by
+    the square roots of its counts), and its share of R one product of the
+    two.
 
     A state past the ladder's size limit raises SizeLimitError here, before
     any table is built, and a partition that does not cover the state's
@@ -269,50 +282,52 @@ def _objective_core(state: PureState, partition: Partition):
     totals, rewrite = _rewriter(state)
     bins, thin_count, cells, shape = _block_layout(mode_count, totals, partition)
     stack_size = math.prod(shape)
+    # np.ix_'s index pairs of the A x B and B x A blocks; np.ix_ itself takes
+    # several times as long, a visible share of a build.
+    rows, cols = np.array(partition.side_a), np.array(partition.side_b)
+    across, back = (rows[:, None], cols), (cols[:, None], rows)
 
-    def stacked(amplitudes: np.ndarray) -> np.ndarray:
-        stack = np.zeros(stack_size + 1, dtype=complex)
-        stack[cells] = amplitudes
-        return stack[:-1].reshape(shape)
-
-    def measure(subst: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(subst: np.ndarray):
         amplitudes = rewrite(subst)
         parts = amplitudes.view(float)
         lam = np.bincount(bins, parts * parts, thin_count + 1)[:thin_count]
         if stack_size:
-            singulars = np.linalg.svd(stacked(amplitudes), compute_uv=False)
+            stack = np.zeros(stack_size + 1, dtype=complex)
+            stack[cells] = amplitudes
+            stack = stack[:-1].reshape(shape)
+            singulars = np.linalg.svd(stack, compute_uv=False)
             lam = np.concatenate((lam, singulars.ravel() ** 2))
         _require_unit_sum(lam)
-        return entropy_of_spectrum(lam), amplitudes, lam
 
-    def slope(amplitudes: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        grad = np.append(_entropy_derivative(lam[:thin_count]), 0.0)[bins[::2]] * amplitudes
-        if stack_size:
-            left, sigma, right = np.linalg.svd(stacked(amplitudes), full_matrices=False)
-            sigma = sigma * _entropy_derivative(sigma * sigma)
-            grad += np.append((left * sigma[:, None, :]) @ right, 0.0)[cells]
-        r = np.zeros((mode_count, mode_count), dtype=complex)
-        pair = np.stack((amplitudes, grad))
-        # Sectors follow one another in the amplitudes.
-        end = 0
-        for total in totals:
-            positions, sources, counts, (size, lower) = _lowering(mode_count, total)
-            start, end = end, end + size
-            lowered = np.zeros((2, mode_count * lower), dtype=complex)
-            lowered[:, positions] = pair[:, start + sources] * np.sqrt(counts)
-            psi, lowered_grad = lowered.reshape(2, mode_count, lower)
-            r += lowered_grad.conj() @ psi.T
-        return r
+        def gradient() -> np.ndarray:
+            grad = np.append(_entropy_derivative(lam[:thin_count]), 0.0)[bins[::2]] * amplitudes
+            if stack_size:
+                left, sigma, right = np.linalg.svd(stack, full_matrices=False)
+                sigma = sigma * _entropy_derivative(sigma * sigma)
+                grad += np.append((left * sigma[:, None, :]) @ right, 0.0)[cells]
+            r = np.zeros((mode_count, mode_count), dtype=complex)
+            pair = np.stack((amplitudes, grad))
+            # Sectors follow one another in the amplitudes.
+            end = 0
+            for total in totals:
+                positions, sources, counts, (size, lower) = _lowering(mode_count, total)
+                start, end = end, end + size
+                lowered = np.zeros((2, mode_count * lower), dtype=complex)
+                lowered[:, positions] = pair[:, start + sources] * np.sqrt(counts)
+                psi, lowered_grad = lowered.reshape(2, mode_count, lower)
+                r += lowered_grad.conj() @ psi.T
+            return ((-1j * sign) * (r[across] - r[back].conj().T)).ravel().view(float)
 
-    return measure, slope
+        return sign * entropy_of_spectrum(lam), gradient
 
+    def advance(subst: np.ndarray, step: np.ndarray) -> np.ndarray:
+        z = step.view(complex).reshape(rows.size, -1)
+        herm = np.zeros((mode_count, mode_count), dtype=complex)
+        herm[across] = -z
+        herm[back] = -z.conj().T
+        return subst @ exp_i_hermitian(herm)
 
-def _entropy_derivative(square: np.ndarray) -> np.ndarray:
-    """-2(log2 lambda + 1/ln 2), twice the derivative of -lambda log2 lambda:
-    the entropy's gradient over a thin block's amplitudes is this times the
-    amplitudes, and f'(sigma) this times sigma.  Where lambda is 0 it
-    multiplies a zero, so its value there does not matter."""
-    return -2.0 * (np.log2(np.where(square > 0.0, square, 1.0)) + 1.0 / math.log(2.0))
+    return evaluate, advance
 
 
 def entropy_objective(
@@ -321,17 +336,17 @@ def entropy_objective(
     """Build theta -> entropy_bits(apply_redefinition(state, exp_map(theta)), p).
 
     The returned closure assembles -H(theta) = H(-theta) with
-    ``hermitian_from_params``, as ``exp_map`` does, and passes
-    exp(-iH) = V diag(e^{-i lambda}) V^H, the substitution of
-    exp_map(theta), straight to the measure of ``_objective_core``, built
-    here once: a state past the ladder's size limit raises SizeLimitError,
-    and a partition that does not cover the state's modes PartitionError.
+    ``hermitian_from_params``, as ``exp_map`` does, and reads the value of
+    ``_coset_search``, built here once, at exp(-iH) = V diag(e^{-i lambda}) V^H,
+    the substitution of exp_map(theta): a state past the ladder's size limit
+    raises SizeLimitError, and a partition that does not cover the state's
+    modes PartitionError.
 
     The closure raises DimensionError for a theta whose length is not M^2
     and NumericalConsistencyError when the Schmidt coefficients miss a sum
     of one by more than 1e-10, as ``schmidt_spectrum`` does.
     """
-    measure, _ = _objective_core(state, partition)
+    evaluate, _ = _coset_search(state, partition, 1.0)
     mode_count = state.mode_count
     n_params = mode_count * mode_count
 
@@ -339,42 +354,9 @@ def entropy_objective(
         if np.size(theta) != n_params:
             raise DimensionError(f"objective over {mode_count} modes takes M^2 = "
                                  f"{n_params} parameters, got {np.size(theta)}")
-        return measure(exp_i_hermitian(hermitian_from_params(np.negative(theta))))[0]
+        return evaluate(exp_i_hermitian(hermitian_from_params(np.negative(theta))))[0]
 
     return objective
-
-
-def _coset_search(state: PureState, partition: Partition, sign: float):
-    """(evaluate, advance) for ``_lbfgs`` over the coset coordinates.
-
-    A point is the substitution matrix S = U^H of a redefinition U.
-    evaluate(S) returns sign times the entropy at S and a function giving
-    sign times its gradient over the steps s: the A x B block of
-    (R - R^H) / 2i, doubled and read as pairs of floats, is the gradient
-    over the real and imaginary parts of Z.  advance(S, s) is
-    S exp(-iP(s)), the substitution of exp(iP(s)) U.
-    """
-    measure, slope = _objective_core(state, partition)
-    across = np.ix_(partition.side_a, partition.side_b)
-    back = np.ix_(partition.side_b, partition.side_a)
-
-    def evaluate(subst: np.ndarray):
-        value, amplitudes, lam = measure(subst)
-
-        def gradient() -> np.ndarray:
-            r = slope(amplitudes, lam)
-            return ((-1j * sign) * (r[across] - r[back].conj().T)).ravel().view(float)
-
-        return sign * value, gradient
-
-    def advance(subst: np.ndarray, step: np.ndarray) -> np.ndarray:
-        z = step.view(complex).reshape(len(partition.side_a), -1)
-        herm = np.zeros((state.mode_count, state.mode_count), dtype=complex)
-        herm[across] = -z
-        herm[back] = -z.conj().T
-        return subst @ exp_i_hermitian(herm)
-
-    return evaluate, advance
 
 
 def optimize_entanglement(
@@ -390,11 +372,12 @@ def optimize_entanglement(
     toward the lowest restart index).  The input's entropy, read by
     ``entropy_objective`` at theta = 0, bounds the result; the winner is
     rewritten with ``apply_redefinition`` and rechecked by
-    ``schmidt_spectrum``.  A cut of more than _MAX_COORDINATES coordinates
-    raises DimensionError, and a partition that does not cover the state's
-    modes PartitionError from the objective's build.
+    ``schmidt_spectrum``.  A partition that does not cover the state's modes
+    raises PartitionError, and a cut of more than _MAX_COORDINATES
+    coordinates DimensionError.
     """
     require_normalized(state)
+    partition.ensure_covers(state.mode_count)
     coordinates = 2 * len(partition.side_a) * len(partition.side_b)
     if coordinates > _MAX_COORDINATES:
         raise DimensionError(f"the cut {partition} has {coordinates} coordinates, "

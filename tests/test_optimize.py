@@ -27,7 +27,6 @@ from fockmodes.optimize import (
     _block_layout,
     _coset_search,
     _lbfgs,
-    _objective_core,
     entropy_objective,
 )
 from fockmodes.suite import (
@@ -162,18 +161,25 @@ def test_coset_gradient_matches_central_differences():
             assert np.array_equal(negated_gradient(), -exact)
 
 
-def test_gradient_vanishes_within_each_side():
-    # A redefinition within one side leaves the entropy as it is, so the
-    # side-A and side-B blocks of (R - R^H) / 2i vanish.
+def test_gradient_reads_its_own_point():
+    # A gradient taken after the search has moved on to another point is
+    # still the gradient at the point that was evaluated.
     for state, cut, points in _gradient_cases():
-        measure, slope = _objective_core(state, cut)
-        for subst in points:
-            _, amplitudes, lam = measure(subst)
-            r = slope(amplitudes, lam)
-            hermitian = (r - r.conj().T) / 2j
-            for side in (cut.side_a, cut.side_b):
-                block = hermitian[np.ix_(side, side)]
-                assert np.abs(block).max() <= 1e-12 * np.abs(r).max(), (state, cut)
+        mode_count = state.mode_count
+        evaluate, _ = _coset_search(state, cut, 1.0)
+        first = points[0]
+        _, gradient = evaluate(first)
+        evaluate(first @ exp_map(np.linspace(-1.0, 1.0, mode_count**2)).matrix)
+        assert np.array_equal(gradient(), evaluate(first)[1]()), (state, cut)
+
+
+def test_theta_entry_reads_the_coset_value_at_the_identity():
+    # Restart 0 starts at the identity, where the optimizer's bound on its
+    # result is this same value.
+    for state, cut, _ in _gradient_cases():
+        mode_count = state.mode_count
+        at_zero = entropy_objective(state, cut)(np.zeros(mode_count**2))
+        assert at_zero == _coset_search(state, cut, 1.0)[0](np.eye(mode_count))[0]
 
 
 def test_objective_matches_library_entropy(rng):
@@ -379,10 +385,13 @@ def test_objective_rejects_partition_not_covering_the_modes(ket, partition):
 
 
 def test_optimize_rejects_partition_not_covering_the_modes():
-    # The objective's build is the one place that checks the partition.
-    state = parse_state("|110> + |011>")
-    with pytest.raises(PartitionError, match="does not cover"):
-        optimize_entanglement(state, Partition((0,), (1,)), OptConfig("max"))
+    # Coverage is checked before the coordinate cap: 0|1..37 has 74
+    # coordinates, but the fault is the modes it names past |1,0>'s two.
+    cases = [("|110> + |011>", Partition((0,), (1,))),
+             ("|1,0>", Partition((0,), tuple(range(1, 38))))]
+    for ket, cut in cases:
+        with pytest.raises(PartitionError, match="does not cover"):
+            optimize_entanglement(parse_state(ket), cut, OptConfig("max"))
 
 
 def test_optimize_two_photon_pair_extrema():

@@ -1,13 +1,17 @@
 """Import fockmodes from one checkout's ``src`` directory and nowhere else.
 
 The tools that compare two trees by alternating runs take ``--src PATH``
-and call ``use_src(PATH)`` before their first fockmodes import.
+and call ``use_src(PATH)`` before their first fockmodes import.  The
+per-layer timers among them add up their parts with ``best_of`` and report
+the passes with ``quartiles``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
+import time
 from pathlib import Path
 
 
@@ -29,3 +33,22 @@ def use_src(path: str) -> None:
 
     if Path(fockmodes.__file__).resolve().parent != src / "fockmodes":
         raise SystemExit(f"error: imported fockmodes from {fockmodes.__file__}, not {src}")
+
+
+def best_of(totals: dict[str, float], name: str, call, repeat: int):
+    """Run `call` `repeat` times, add its fastest run in ms to totals[name],
+    and return the result of its last run."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    totals[name] = totals.get(name, 0.0) + best * 1000.0
+    return result
+
+
+def quartiles(prefix: str, times: list[float]) -> dict[str, float]:
+    """The median and quartiles of per-pass `times` in ms, rounded to µs."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {f"{prefix}median_ms": round(median, 3), f"{prefix}q1_ms": round(q1, 3),
+            f"{prefix}q3_ms": round(q3, 3)}

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
-from checkout import use_src
+from checkout import best_of, quartiles, use_src
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # Passes per run: one pass of one tree spreads by up to two thirds between
@@ -53,15 +51,7 @@ def main() -> None:
     passes: list[dict[str, float]] = []
 
     def layer(name, call):
-        """Time `call` `--repeat` times, add the fastest to `name`'s pass time."""
-        best = float("inf")
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            result = call()
-            best = min(best, time.perf_counter() - start)
-        totals = passes[-1]
-        totals[name] = totals.get(name, 0.0) + best * 1000.0
-        return result
+        return best_of(passes[-1], name, call, args.repeat)
 
     for _ in range(PASSES):
         passes.append({})
@@ -77,9 +67,7 @@ def main() -> None:
             layer("format_state", lambda: ketparse.format_state(rewritten))
 
     def spread(prefix: str, times: list[float]) -> dict[str, float]:
-        q1, median, q3 = statistics.quantiles(times, n=4)
-        return {f"{prefix}median_ms": round(median, 3), f"{prefix}q1_ms": round(q1, 3),
-                f"{prefix}q3_ms": round(q3, 3), "passes": PASSES, "items": len(items)}
+        return {**quartiles(prefix, times), "passes": PASSES, "items": len(items)}
 
     for name in passes[0]:
         print(json.dumps({"layer": name, **spread("", [totals[name] for totals in passes])}))

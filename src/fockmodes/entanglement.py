@@ -92,19 +92,18 @@ def _restrictions(state: PureState, side: tuple[int, ...]) -> list[Occupation]:
     return list(map(pick, state.amplitudes))
 
 
-def coefficient_matrix(
-    state: PureState, partition: Partition
+def _grid(
+    state: PureState, partition: Partition, canonical: bool
 ) -> tuple[np.ndarray, list[Occupation], list[Occupation]]:
-    """Amplitudes arranged as a (side-A occupations) x (side-B occupations) matrix.
-
-    Rows and columns are exactly the restrictions appearing in the support,
-    in canonical order; the Frobenius norm equals the state norm.
-    """
+    """The coefficient matrix with its row and column occupations: in
+    canonical order when `canonical`, else in order of first appearance in
+    the state's dict, which leaves the singular values as they are."""
     partition.ensure_covers(state.mode_count)
     row_of = _restrictions(state, partition.side_a)
     col_of = _restrictions(state, partition.side_b)
-    rows = sorted(set(row_of), reverse=True)
-    cols = sorted(set(col_of), reverse=True)
+    rows, cols = list(dict.fromkeys(row_of)), list(dict.fromkeys(col_of))
+    if canonical:
+        rows, cols = sorted(rows, reverse=True), sorted(cols, reverse=True)
     row_index = dict(zip(rows, range(len(rows))))
     col_index = dict(zip(cols, range(len(cols))))
     count = len(state.amplitudes)
@@ -114,6 +113,18 @@ def coefficient_matrix(
         np.fromiter(map(col_index.__getitem__, col_of), np.intp, count),
     ] = np.fromiter(state.amplitudes.values(), complex, count)
     return matrix, rows, cols
+
+
+def coefficient_matrix(
+    state: PureState, partition: Partition
+) -> tuple[np.ndarray, list[Occupation], list[Occupation]]:
+    """Amplitudes arranged as a (side-A occupations) x (side-B occupations) matrix.
+
+    Rows and columns are exactly the restrictions appearing in the support,
+    in canonical order, which ``reduced_density_matrix`` and other callers
+    index by; the Frobenius norm equals the state norm.
+    """
+    return _grid(state, partition, canonical=True)
 
 
 def _require_unit_sum(lambdas: np.ndarray) -> None:
@@ -136,9 +147,13 @@ def entropy_of_spectrum(lambdas: np.ndarray) -> float:
 
 
 def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
-    """Squared singular values of the coefficient matrix, descending, plus entropy."""
+    """Squared singular values of the coefficient matrix, descending, plus entropy.
+
+    The matrix's rows and columns are ranked by first appearance in the
+    state's dict, not sorted: singular values do not depend on their order.
+    """
     require_normalized(state)
-    matrix, _, _ = coefficient_matrix(state, partition)
+    matrix, _, _ = _grid(state, partition, canonical=False)
     # Descending, as the SVD returns them.  Squares are never negative; only
     # rounding can lift one above 1.
     lambdas = np.minimum(np.linalg.svd(matrix, compute_uv=False) ** 2, 1.0)
@@ -188,7 +203,7 @@ def rank_bound(state: PureState, partition: Partition) -> int:
     mode redefinition of the state, and for one total equals B(N).
     """
     partition.ensure_covers(state.mode_count)
-    totals = {sum(occ) for occ in state.amplitudes}
+    totals = set(map(sum, state.amplitudes))
     if not totals:
         return 0
     a, b = len(partition.side_a), len(partition.side_b)

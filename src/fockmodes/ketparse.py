@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from operator import add, mul, sub, truediv
+from itertools import chain
+from operator import add, itemgetter, mul, sub, truediv
 
 import numpy as np
 
@@ -281,7 +282,8 @@ def format_state(state: PureState, precision: int = 7) -> str:
     ]
     # Counts above 9 need the comma form of a ket.  A dropped term may hold
     # the only such count, so the form is read off the kept terms.
-    ket_of = _comma_ket if max(max(occ) for occ, _ in terms) > 9 else _digit_ket
+    counts = chain.from_iterable(map(itemgetter(0), terms))
+    ket_of = _comma_ket if max(counts) > 9 else _digit_ket
     eps = 0.5 * 10.0 ** (-precision)
     real_term = f" %s %.{precision}f*|%s>"
     complex_term = f" + (%.{precision}f%+.{precision}fi)*|%s>"

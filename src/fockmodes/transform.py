@@ -406,15 +406,17 @@ def _rewriter(state: PureState):
     photon, old modes in increasing order.  Row i * N + step of the sector's
     `picks` selects, for term i, the old mode of that step (one nonzero
     entry), so picks @ subst gives every step's factor row at once.  The
-    entry is sqrt(s + 1) / sqrt(c) for the step into sector s + 1 that adds
+    entry is sqrt((s + 1) / c) for the step into sector s + 1 that adds
     the c-th photon of its mode: the sqrt(s + 1) of the ladder's scaling,
-    and 1/sqrt(c) to keep every partial state a unit vector.  `amps` holds
-    the terms' amplitudes, apart from the picks.
+    and 1/sqrt(c) to keep every partial state a unit vector; the sector's
+    entries are built as one list.  `amps` holds the terms' amplitudes,
+    apart from the picks.
 
     Terms climb in batches small enough that the intermediates hold about
     _BATCH_CELLS entries.  Each rung into sectors 2..N has one table: its
     positions offset to each term's block of the (term, mode, occupation)
-    outer product, one row per term of a full batch.  The plan lists the
+    outer product, one row per term of a full batch; when batches hold one
+    term each, the table is the rung's own gather array.  The plan lists the
     batches as views (rows of `picks`, entries of `amps`, the tables); a
     shorter last batch reads the first rows of the same tables.  The vacuum
     sector takes no step, and its plan is its amplitude array.  A state
@@ -435,16 +437,17 @@ def _rewriter(state: PureState):
             plans.append(amps)
             continue
         steps = [k for occ, _ in terms for k, c in enumerate(occ) for _ in range(c)]
-        nths = [i for occ, _ in terms for c in occ for i in range(1, c + 1)]
+        scales = [
+            math.sqrt(s / i) for occ, _ in terms
+            for s, i in enumerate([n for c in occ for n in range(1, c + 1)], 1)
+        ]
         picks = np.zeros((len(steps), mode_count), dtype=complex)
-        picks[np.arange(len(steps)), steps] = np.sqrt(
-            np.tile(np.arange(1, total + 1), len(terms)) / nths
-        )
+        picks[np.arange(len(steps)), steps] = scales
         cap = _BATCH_CELLS // (total * rungs[total - 1][0].size)
         batch = min(len(terms), max(1, cap))
-        blocks = np.arange(batch)[:, None, None]
+        blocks = np.arange(batch)[:, None, None] * mode_count
         tables = [
-            rung[0] + blocks * (mode_count * below[1].size)
+            rung[0] + blocks * below[1].size if batch > 1 else rung[0][None, None]
             for below, rung in zip(rungs, rungs[1:total])
         ]
         plans.append([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockmodes import (
     NotNormalizedError,
@@ -175,6 +177,35 @@ def test_schmidt_side_symmetry(rng):
         np.testing.assert_allclose(lam_a[:size], lam_b[:size], atol=1e-12)
         assert all(v <= 1e-12 for v in lam_a[size:])
         assert all(v <= 1e-12 for v in lam_b[size:])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_spectrum_matches_the_canonical_matrix_in_any_dict_order(seed):
+    # schmidt_spectrum ranks rows and columns by first appearance in the
+    # dict; its spectrum must be that of the canonical matrix, in any order.
+    rng = np.random.default_rng(seed)
+    mode_count = int(rng.integers(2, 5))
+    totals = tuple(sorted(rng.choice(4, size=int(rng.integers(2, 4)), replace=False)))
+    full = random_state(rng, mode_count, totals)
+    items = [item for item in full.amplitudes.items() if rng.random() < 0.7] or [
+        next(iter(full.amplitudes.items()))
+    ]
+    state = normalize(PureState(mode_count, dict(items)))
+    modes = [int(i) for i in rng.permutation(mode_count)]
+    split = int(rng.integers(1, mode_count))
+    part = Partition(tuple(modes[:split]), tuple(modes[split:]))
+    matrix, _, _ = coefficient_matrix(state, part)
+    expected = np.linalg.svd(matrix, compute_uv=False) ** 2
+    shuffled = PureState(
+        mode_count, dict(list(state.amplitudes.items())[i] for i in rng.permutation(len(state)))
+    )
+    for ordered in (state, shuffled):
+        spectrum = schmidt_spectrum(ordered, part)
+        np.testing.assert_allclose(spectrum.lambdas, expected, rtol=0, atol=1e-12)
+        assert spectrum.entropy_bits == pytest.approx(
+            entropy_of_spectrum(np.minimum(expected, 1.0)), abs=1e-12
+        )
 
 
 def test_entropy_invariant_under_block_unitaries(rng):

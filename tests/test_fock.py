@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_library_built_states_skip_the_occupation_check(monkeypatch, rng):
     assert calls == []
     PureState(2, {(1, 0): 1.0})
     assert calls == [(1, 0)]
+
+
+def test_library_built_states_still_prune():
+    # Amplitudes below PRUNE_THRESHOLD are dropped however the library
+    # builds the state: a raw parse, a rescale and a phase turn.
+    assert parse_state("|10> + 1e-16*|01>", raw=True).amplitudes == {(1, 0): 1}
+    state = PureState(2, {(2, 0): 10.0, (0, 2): 1.5e-15})
+    assert set(state.amplitudes) == {(2, 0), (0, 2)}
+    assert set(normalize(state).amplitudes) == {(2, 0)}
+    # A lead of phase 0.11 turns 1e-15, kept on construction, to just below.
+    state = PureState(2, {(2, 0): cmath.exp(0.11j), (0, 2): fock.PRUNE_THRESHOLD})
+    factor = fock._lead_phase_factor(state.amplitudes)
+    assert abs(fock.PRUNE_THRESHOLD * factor) < fock.PRUNE_THRESHOLD
+    assert set(canonicalize_phase(state).amplitudes) == {(2, 0)}
 
 
 def test_hong_ou_mandel_rewrite_prunes_the_coincidence():

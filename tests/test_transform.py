@@ -207,11 +207,15 @@ def test_matrix_element_oracle_equivalence(rng):
         "|2,2,2,1>",
         "|4,3,0,3> - 0.5i*|0,2,8,0>",
         "|0000> + |1100> + 0.5*|0011> - |2000>",
+        "|3,1,0,0> + 0.5*|1,1,0,0> - |0,1,0,1> + 0.3i*|0,0,2,0>",
     ],
-    ids=["fock444", "fock1200", "fock332", "fock2221", "comma10", "vacuum-pairs4"],
+    ids=["fock444", "fock1200", "fock332", "fock2221", "comma10", "vacuum-pairs4",
+         "one-term4-three-terms2"],
 )
 def test_deep_ladder_amplitudes_match_permanent_oracle(ket):
     # Up to twelve substitution steps per term, against the permanent formula.
+    # One-term sectors climb as batches of one term, which read each rung's
+    # own gather array; the last case has one beside a three-term sector.
     state = parse_state(ket)
     rng = np.random.default_rng(31)
     sectors = {sum(occ) for occ in state.amplitudes}

@@ -3,7 +3,7 @@
 The tools that compare two trees by alternating runs take ``--src PATH``
 and call ``use_src(PATH)`` before their first fockmodes import.  The
 per-layer timers among them add up their parts with ``best_of`` and report
-the passes with ``quartiles``.
+the passes with ``quartiles`` and ``share``.
 """
 
 from __future__ import annotations
@@ -52,3 +52,11 @@ def quartiles(prefix: str, times: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {f"{prefix}median_ms": round(median, 3), f"{prefix}q1_ms": round(q1, 3),
             f"{prefix}q3_ms": round(q3, 3)}
+
+
+def share(passes: list[dict[str, float]], name: str, whole) -> float:
+    """The median over `passes` of part `name`'s fraction of its pass's
+    whole, ``whole(totals)`` ms.  Host load slows every part of a pass
+    together, so these fractions spread far less between runs than the ms
+    sums do."""
+    return round(statistics.median(totals[name] / whole(totals) for totals in passes), 4)

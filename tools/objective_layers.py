@@ -15,7 +15,10 @@ closure less those three parts: the block spectrum, its checks and the
 entropy.  Every part is timed ``--repeat`` times and its fastest run kept.
 The pass runs PASSES times; a part's time in one pass is its best-of-repeat
 ms summed over the items.  Prints one JSON line per part with the median
-and quartiles of those per-pass times.  To compare two trees, alternate
+and quartiles of those per-pass times and, as ``share``, the median of the
+part's fraction of its pass's total (``build`` plus ``objective``), then
+one line with the median and quartiles of that total.  The shares are
+steadier between runs than the ms sums.  To compare two trees, alternate
 runs of this script on each.  BLAS is pinned to one thread, as in
 ``bench/run.py``.
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from checkout import best_of, quartiles, use_src
+from checkout import best_of, quartiles, share, use_src
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # Passes per run: best-of-repeat sums of one tree still spread between
@@ -81,9 +84,14 @@ def main() -> None:
         totals = passes[-1]
         totals["rest"] = totals["objective"] - sum(totals[name] for name in PARTS)
 
+    def whole(totals: dict[str, float]) -> float:
+        return totals["build"] + totals["objective"]
+
+    counts = {"passes": PASSES, "items": len(evals), "sources": len(sources)}
     for name in passes[0]:
         print(json.dumps({"layer": name, **quartiles("", [totals[name] for totals in passes]),
-                          "passes": PASSES, "items": len(evals), "sources": len(sources)}))
+                          "share": share(passes, name, whole), **counts}))
+    print(json.dumps({**quartiles("total_", list(map(whole, passes))), **counts}))
 
 
 if __name__ == "__main__":

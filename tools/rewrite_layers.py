@@ -11,8 +11,10 @@ schmidt_spectrum -> rank_bound -> format_state, each layer ``--repeat``
 times on the previous layer's output.  The pass runs PASSES times; a
 layer's time in one pass is its best-of-repeat ms per item summed over the
 items.  Prints one JSON line per layer with the median and quartiles of
-those per-pass times, then one line with the same for the total.  To
-compare two trees, alternate runs of this script on each.  BLAS is pinned
+those per-pass times and, as ``share``, the median of the layer's fraction
+of its pass's total, then one line with the median and quartiles of the
+total.  The shares are steadier between runs than the ms sums.  To compare
+two trees, alternate runs of this script on each.  BLAS is pinned
 to one thread, as in ``bench/run.py``.
 """
 
@@ -23,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from checkout import best_of, quartiles, use_src
+from checkout import best_of, quartiles, share, use_src
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # Passes per run: one pass of one tree spreads by up to two thirds between
@@ -70,7 +72,8 @@ def main() -> None:
         return {**quartiles(prefix, times), "passes": PASSES, "items": len(items)}
 
     for name in passes[0]:
-        print(json.dumps({"layer": name, **spread("", [totals[name] for totals in passes])}))
+        print(json.dumps({"layer": name, **spread("", [totals[name] for totals in passes]),
+                          "share": share(passes, name, lambda totals: sum(totals.values()))}))
     print(json.dumps(spread("total_", [sum(totals.values()) for totals in passes])))
 
 

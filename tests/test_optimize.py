@@ -261,7 +261,7 @@ def _spread_state(mode_count):
         "four-photon-unsorted", "vacuum-pair3-unsorted",
     ],
 )
-def test_block_objective_matches_dense_schmidt_spectrum(state, cut):
+def test_dense_objective_matches_sparse_rewrite(state, cut):
     part = Partition.from_string(cut)
     objective = entropy_objective(state, part)
     rng = np.random.default_rng(11)

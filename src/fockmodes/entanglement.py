@@ -30,6 +30,8 @@ class Partition:
     side_b: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(i, bool) for i in self.side_a + self.side_b):
+            raise PartitionError("mode indices must be integers, not booleans")
         side_a = tuple(operator.index(i) for i in self.side_a)
         side_b = tuple(operator.index(i) for i in self.side_b)
         object.__setattr__(self, "side_a", side_a)
@@ -173,19 +175,19 @@ def reduced_density_matrix(
 
     Side 'A' returns C C† on the row occupations, side 'B' returns
     Cᵀ conj(C) on the column occupations; eigenvalues match the Schmidt
-    spectrum either way.
+    spectrum either way.  Any other side, in either case, is a
+    PartitionError.
     """
     require_normalized(state)
+    if not isinstance(side, str) or side.upper() not in ("A", "B"):
+        raise PartitionError(f"side must be 'A' or 'B', got {side!r}")
     matrix, rows, cols = coefficient_matrix(state, partition)
-    side = side.upper()
-    if side == "A":
+    if side.upper() == "A":
         rho = matrix @ matrix.conj().T
         index = rows
-    elif side == "B":
+    else:
         rho = matrix.T @ matrix.conj()
         index = cols
-    else:
-        raise PartitionError(f"side must be 'A' or 'B', got {side!r}")
     # The trace of rho is the sum of the Schmidt coefficients.
     _require_unit_sum(np.diagonal(rho).real)
     return rho, index

@@ -64,6 +64,17 @@ class PureState:
         self.amplitudes = kept
 
     @classmethod
+    def _of_pruned(cls, mode_count: int, amplitudes: dict) -> PureState:
+        """State built by the library around `amplitudes`, which it keeps:
+        keys of a PureState of `mode_count` modes or labels of the ladder's
+        sectors, mapped to Python complex amplitudes none of which is below
+        PRUNE_THRESHOLD."""
+        state = cls.__new__(cls)
+        state.mode_count = mode_count
+        state.amplitudes = amplitudes
+        return state
+
+    @classmethod
     def _of_checked(
         cls,
         mode_count: int,
@@ -72,19 +83,15 @@ class PureState:
     ) -> PureState:
         """State built by the library, whose occupations need no check.
 
-        `occupations` must be keys of a PureState of `mode_count` modes or
-        labels of the ladder's sectors, paired in order with Python complex
-        `amplitudes`.  Amplitudes below PRUNE_THRESHOLD are dropped, as in
-        the public constructor.
+        `occupations` must be keys of a PureState of `mode_count` modes,
+        paired in order with Python complex `amplitudes`.  Amplitudes below
+        PRUNE_THRESHOLD are dropped, as in the public constructor.
         """
-        state = cls.__new__(cls)
-        state.mode_count = mode_count
-        state.amplitudes = {
+        return cls._of_pruned(mode_count, {
             occ: amp
             for occ, amp in zip(occupations, amplitudes)
             if abs(amp) >= PRUNE_THRESHOLD
-        }
-        return state
+        })
 
     def norm(self) -> float:
         return math.hypot(*map(abs, self.amplitudes.values()))
@@ -187,9 +194,8 @@ def sector_weights(state: PureState) -> dict[int, float]:
     return dict(sorted(weights.items()))
 
 
-def _lead_phase_factor(amplitudes: Mapping[Occupation, complex]) -> complex:
-    """Unit factor that makes the first canonical amplitude real-positive."""
-    lead = amplitudes[max(amplitudes)]
+def _lead_phase_factor(lead: complex) -> complex:
+    """Unit factor that makes the first canonical amplitude, `lead`, real-positive."""
     return (lead / abs(lead)).conjugate()
 
 
@@ -197,7 +203,7 @@ def canonicalize_phase(state: PureState) -> PureState:
     """Multiply by a global phase so the first canonical amplitude is real-positive."""
     if not state.amplitudes:
         return state
-    factor = _lead_phase_factor(state.amplitudes)
+    factor = _lead_phase_factor(state.amplitudes[max(state.amplitudes)])
     return PureState._of_checked(
         state.mode_count,
         state.amplitudes,

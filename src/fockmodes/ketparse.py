@@ -51,8 +51,6 @@ MAX_NESTING = 100
 # How tightly each binary operator of a coefficient binds, and what it does.
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 _APPLY = {"+": add, "-": sub, "*": mul, "/": truediv}
-# Maps counts 0-9, as bytes, to their digit characters.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 def _scan_ket(text: str, start: int) -> tuple[Occupation, int]:
     """The counts of the ket opening at `start`, and the offset past its '>'."""
@@ -253,55 +251,53 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
     return normalize(state)
 
 
-def _digit_ket(occ: Occupation) -> str:
-    return bytes(occ).translate(_DIGITS).decode()
-
-
-def _comma_ket(occ: Occupation) -> str:
-    return ",".join(map(str, occ))
-
-
 def format_state(state: PureState, precision: int = 7) -> str:
     """Render a normalized state in canonical order.
 
     The global phase is canonicalized so the leading amplitude is real and
-    positive.  Each amplitude is multiplied once by the lead's phase factor,
-    without a canonicalized copy of the state; a product below
-    PRUNE_THRESHOLD is left out, as `canonicalize_phase` would drop it, and
-    the kets take the comma form when a count kept exceeds 9.  Each term is
-    then one %-format.  The output parses back to the same state within
-    10^(1-precision) per amplitude.
+    positive.  The amplitudes are sorted by occupation once, which takes
+    linear time on the canonical order ``apply_redefinition`` emits, and
+    each is multiplied once by the lead's phase factor, without a
+    canonicalized copy of the state; a product below PRUNE_THRESHOLD is
+    left out, as `canonicalize_phase` would drop it, and the kets take the
+    comma form when a count kept exceeds 9.  The kept terms then fill one
+    joined template, whose kets are %d fields, with one %-format.  The
+    output parses back to the same state within 10^(1-precision) per
+    amplitude.
     """
     require_normalized(state)
-    amplitudes = state.amplitudes
-    factor = _lead_phase_factor(amplitudes)
+    items = sorted(state.amplitudes.items(), reverse=True)
+    factor = _lead_phase_factor(items[0][1])
     terms = [
-        (occ, amp)
-        for occ in state.support()
-        if abs(amp := amplitudes[occ] * factor) >= PRUNE_THRESHOLD
+        (occ, turned)
+        for occ, amp in items
+        if abs(turned := amp * factor) >= PRUNE_THRESHOLD
     ]
     # Counts above 9 need the comma form of a ket.  A dropped term may hold
     # the only such count, so the form is read off the kept terms.
     counts = chain.from_iterable(map(itemgetter(0), terms))
-    ket_of = _comma_ket if max(counts) > 9 else _digit_ket
+    ket = "|" + ("," if max(counts) > 9 else "").join(["%d"] * state.mode_count) + ">"
     eps = 0.5 * 10.0 ** (-precision)
-    real_term = f" %s %.{precision}f*|%s>"
-    complex_term = f" + (%.{precision}f%+.{precision}fi)*|%s>"
+    real_term = f" %s %.{precision}f*{ket}"
+    unit_term = f" %s {ket}"
+    complex_term = f" + (%.{precision}f%+.{precision}fi)*{ket}"
 
     pieces: list[str] = []
+    fields: list = []
     for occ, amp in terms:
-        ket = ket_of(occ)
+        sign = "+" if amp.real >= 0 else "-"
         if abs(amp.imag) >= eps:
-            pieces.append(complex_term % (amp.real, amp.imag, ket))
-            continue
-        joiner = "+" if amp.real >= 0 else "-"
-        magnitude = abs(amp.real)
-        if abs(magnitude - 1.0) < eps:
-            pieces.append(f" {joiner} |{ket}>")
+            pieces.append(complex_term)
+            fields += amp.real, amp.imag
+        elif abs(abs(amp.real) - 1.0) < eps:
+            pieces.append(unit_term)
+            fields.append(sign)
         else:
-            pieces.append(real_term % (joiner, magnitude, ket))
-    # Every piece opens with " + " or " - "; the first keeps only a minus.
-    text = "".join(pieces)
+            pieces.append(real_term)
+            fields += sign, abs(amp.real)
+        fields += occ
+    # Every term opens with " + " or " - "; the first keeps only a minus.
+    text = "".join(pieces) % tuple(fields)
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 

@@ -19,14 +19,14 @@ independent formula and is kept as a cross-check, not as the production path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
+from itertools import compress
 
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, SizeLimitError
-from .fock import Occupation, PureState, sector_dimension
+from .fock import PRUNE_THRESHOLD, Occupation, PureState, sector_dimension
 
 # Default unitarity acceptance for user-supplied matrices.
 UNITARY_TOLERANCE = 1e-10
@@ -350,12 +350,21 @@ def _lowering(mode_count: int, total: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
-    """Occupations of sector `total` in ladder order."""
+def _sector_labels(mode_count: int, total: int) -> tuple[tuple, np.ndarray]:
+    """Occupations of sector `total` in canonical order (that of
+    ``PureState.support``), and the ladder index of each of them: a vector
+    over the sector in ladder order, read at these indices, is in canonical
+    order.
+
+    The canonical order is the ladder order of the occupations with their
+    modes reversed, read backwards, so the labels are read off the ladder's
+    occupations that way, with no copy of them; the indices sort the
+    ladder's occupations, first mode first, and reverse that order."""
     positions, sources, counts, (size, lower) = _lowering(mode_count, total)
     occupations = np.zeros((size, mode_count), dtype=np.intp)
     occupations[sources, positions // lower] = counts
-    return tuple(map(tuple, occupations.tolist()))
+    labels = tuple(map(tuple, occupations[::-1, ::-1].tolist()))
+    return labels, np.lexsort(occupations.T[::-1])[::-1]
 
 
 def _side_index(mode_count: int, totals, side) -> tuple[np.ndarray, np.ndarray]:
@@ -505,6 +514,11 @@ def apply_redefinition(state: PureState, unitary: ModeUnitary) -> PureState:
     are preserved exactly up to rounding.  A state whose largest sector of N
     photons in M modes needs more than LADDER_ROW_LIMIT ladder rows,
     C(N + M, M), raises SizeLimitError before any table is built.
+
+    The result's amplitudes come sector by sector, in increasing photon
+    number, and each sector in canonical order: the ladder's output read at
+    the indices ``_sector_labels`` gives.  Amplitudes below PRUNE_THRESHOLD
+    are dropped while still an array.
     """
     if unitary.dim != state.mode_count:
         raise DimensionError(
@@ -512,7 +526,11 @@ def apply_redefinition(state: PureState, unitary: ModeUnitary) -> PureState:
         )
     totals, rewrite = _rewriter(state)
     subst = unitary.matrix.conj().T  # row j: expansion of old a†_j in new operators
-    labels = itertools.chain.from_iterable(
-        _sector_labels(state.mode_count, total) for total in totals
-    )
-    return PureState._of_checked(state.mode_count, labels, rewrite(subst).tolist())
+    values, amplitudes = rewrite(subst), {}
+    for total in totals:
+        labels, order = _sector_labels(state.mode_count, total)
+        # A sector's indices count from its start; the later sectors follow.
+        sector, values = values[order], values[order.size :]
+        kept = (np.abs(sector) >= PRUNE_THRESHOLD).tolist()
+        amplitudes.update(zip(compress(labels, kept), compress(sector.tolist(), kept)))
+    return PureState._of_pruned(state.mode_count, amplitudes)

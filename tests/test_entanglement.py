@@ -43,6 +43,15 @@ def test_partition_validation():
             Partition.from_string(text)
 
 
+def test_partition_refuses_boolean_mode_indices():
+    for sides in (((True,), (0,)), ((0,), (False, 2)), ((1, 2), (True,))):
+        with pytest.raises(PartitionError, match="booleans"):
+            Partition(*sides)
+    part = Partition((np.int64(1),), (np.intp(0), np.int32(2)))
+    assert part.side_a == (1,) and part.side_b == (0, 2)
+    assert all(type(i) is int for i in part.side_a + part.side_b)
+
+
 def test_partition_from_string_roundtrip():
     part = Partition.from_string("0,2|1,3")
     assert part.side_a == (0, 2) and part.side_b == (1, 3)
@@ -255,6 +264,12 @@ def test_reduced_density_matrix_checks_its_trace(monkeypatch):
     for side in ("A", "B"):
         with pytest.raises(NumericalConsistencyError, match="sum to"):
             reduced_density_matrix(two_photon_pair(), Partition((0,), (1,)), side=side)
+
+
+@pytest.mark.parametrize("side", [1, None, b"A", "C", "", "AB"])
+def test_reduced_density_matrix_refuses_other_sides(side):
+    with pytest.raises(PartitionError, match="side must be"):
+        reduced_density_matrix(two_photon_pair(), Partition((0,), (1,)), side=side)
 
 
 def test_reduced_density_matches_schmidt(rng):

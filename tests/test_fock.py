@@ -171,7 +171,7 @@ def test_library_built_states_still_prune():
     assert set(normalize(state).amplitudes) == {(2, 0)}
     # A lead of phase 0.11 turns 1e-15, kept on construction, to just below.
     state = PureState(2, {(2, 0): cmath.exp(0.11j), (0, 2): fock.PRUNE_THRESHOLD})
-    factor = fock._lead_phase_factor(state.amplitudes)
+    factor = fock._lead_phase_factor(state.amplitudes[(2, 0)])
     assert abs(fock.PRUNE_THRESHOLD * factor) < fock.PRUNE_THRESHOLD
     assert set(canonicalize_phase(state).amplitudes) == {(2, 0)}
 

@@ -13,6 +13,7 @@ from fockmodes import (
     ParseError,
     PureState,
     UnitaryFileError,
+    apply_redefinition,
     canonicalize_phase,
     format_state,
     format_unitary_file,
@@ -23,7 +24,7 @@ from fockmodes import (
 from fockmodes.ketparse import MAX_NESTING
 from fockmodes.suite import balanced_mixer
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 
 
 def test_parse_compact_kets():
@@ -455,10 +456,37 @@ def edge_state(rng, precision):
 
 @pytest.mark.parametrize("precision", [1, 7, 15])
 def test_format_matches_reference_renderer(precision):
+    # Each state also renders from a copy whose dict lists it in shuffled order.
     rng = np.random.default_rng(1000 + precision)
+    shuffle = np.random.default_rng(precision)
     for _ in range(700):
         state = edge_state(rng, precision)
-        assert format_state(state, precision) == reference_format(state, precision)
+        expected = reference_format(state, precision)
+        assert format_state(state, precision) == expected
+        items = list(state.amplitudes.items())
+        shuffled = dict(items[i] for i in shuffle.permutation(len(items)))
+        assert format_state(PureState(state.mode_count, shuffled), precision) == expected
+
+
+@pytest.mark.parametrize(
+    "ket",
+    [
+        "|2,1,1,1,0>",
+        "|1,1,1,1,1,0> - 0.5i*|0,0,0,0,0,5>",
+        "|2,2,1,0,0,1>",
+        "|10,0,0,0>",
+        "|4,0,6,0> + 0.3*|0,10,0,0>",
+    ],
+)
+def test_format_matches_reference_renderer_on_rewritten_states(ket):
+    # 126 to 462 terms in the order apply_redefinition emits them; the last
+    # two need the comma form.
+    rng = np.random.default_rng(53)
+    state = parse_state(ket)
+    for _ in range(2):
+        rewritten = apply_redefinition(state, random_unitary(rng, state.mode_count))
+        assert 100 <= len(rewritten) <= 462
+        assert format_state(rewritten) == reference_format(rewritten)
 
 
 def test_format_drops_a_lead_that_the_phase_factor_prunes():

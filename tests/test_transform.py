@@ -264,6 +264,16 @@ def ladder_by_definition(mode_count, top):
     return rungs
 
 
+def ladder_labels(mode_count, total):
+    """Occupations of sector `total` in ladder order, by definition: sorted
+    mode multisets in colex order."""
+    multisets = sorted(
+        itertools.combinations_with_replacement(range(mode_count), total),
+        key=lambda multiset: multiset[::-1],
+    )
+    return [tuple(map(multiset.count, range(mode_count))) for multiset in multisets]
+
+
 @pytest.mark.parametrize(
     "mode_count, top",
     [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (40, 2), (2, 60)],
@@ -314,7 +324,7 @@ def test_batches_share_one_gather_table_per_rung(monkeypatch):
         tracemalloc.stop()
     assert held < 1_000_000
     # The identity substitution gives back the state's own amplitudes.
-    rewritten = dict(zip(transform._sector_labels(8, 5), rewrite(np.eye(8))))
+    rewritten = dict(zip(ladder_labels(8, 5), rewrite(np.eye(8))))
     for occ, amp in state.amplitudes.items():
         assert rewritten[occ] == pytest.approx(amp, abs=1e-14)
 
@@ -326,17 +336,67 @@ def test_batches_share_one_gather_table_per_rung(monkeypatch):
 def test_side_index_ranks_restrictions_in_ladder_order(mode_count, totals, side):
     # The side's occupations by photon number, then as the ladder lists them
     # over the side's modes in increasing order.
-    from fockmodes.transform import _sector_labels, _side_index
+    from fockmodes.transform import _side_index
 
-    order = [occ for n in range(max(totals) + 1) for occ in _sector_labels(len(side), n)]
+    order = [occ for n in range(max(totals) + 1) for occ in ladder_labels(len(side), n)]
     restricted = [
         tuple(occ[k] for k in sorted(side))
         for total in totals
-        for occ in _sector_labels(mode_count, total)
+        for occ in ladder_labels(mode_count, total)
     ]
     photons, index = _side_index(mode_count, totals, side)
     assert photons.tolist() == [sum(occ) for occ in restricted]
     assert index.tolist() == [order.index(occ) for occ in restricted]
+
+
+@pytest.mark.parametrize(
+    "mode_count, total", [(1, 0), (1, 4), (3, 0), (3, 2), (4, 5), (6, 3), (40, 2)]
+)
+def test_sector_labels_are_canonical_and_index_the_ladder(mode_count, total):
+    from fockmodes.transform import _sector_labels
+
+    labels, order = _sector_labels(mode_count, total)
+    assert list(labels) == enumerate_sector(mode_count, total)
+    ladder = ladder_labels(mode_count, total)
+    assert [ladder[index] for index in order] == list(labels)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        PureState(3, {(1, 0, 0): 0.0}),
+        parse_state("|2,0,1> + 0.5i*|0,3,0> - |1,1,1>"),
+        parse_state("|0000> + |1100> + 0.5*|0011> - |2000> + 0.3*|0,1,1,1>"),
+    ],
+    ids=["zero", "identity-pruned", "vacuum-plus-pairs"],
+)
+def test_rewrite_is_the_ladder_output_keyed_by_ladder_labels(state):
+    # Under the identity the zeros of every populated sector are pruned.
+    from fockmodes import transform
+    from fockmodes.fock import PRUNE_THRESHOLD
+
+    unitary = ModeUnitary.identity(state.mode_count)
+    totals, rewrite = transform._rewriter(state)
+    labels = [occ for total in totals for occ in ladder_labels(state.mode_count, total)]
+    values = rewrite(unitary.matrix.conj().T).tolist()
+    expected = {
+        occ: amp for occ, amp in zip(labels, values) if abs(amp) >= PRUNE_THRESHOLD
+    }
+    out = apply_redefinition(state, unitary)
+    assert out.amplitudes == expected
+    assert set(out.amplitudes) == set(state.amplitudes)
+
+
+def test_rewrite_emits_each_sector_in_canonical_order(rng):
+    state = parse_state("|1,1,1,0> + 0.5*|0,0,2,1> - 0.4i*|3,0,0,0>")
+    out = apply_redefinition(state, random_unitary(rng, 4))
+    assert list(out.amplitudes) == out.support()
+    mixed = apply_redefinition(random_state(rng, 4, (0, 3, 1, 2)), random_unitary(rng, 4))
+    totals = list(map(sum, mixed.amplitudes))
+    assert totals == sorted(totals)
+    for total in set(totals):
+        sector = [occ for occ in mixed.amplitudes if sum(occ) == total]
+        assert sector == sorted(sector, reverse=True)
 
 
 def test_rewrite_refuses_oversized_ladder_quickly():

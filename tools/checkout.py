@@ -1,13 +1,15 @@
 """Import fockmodes from one checkout's ``src`` directory and nowhere else.
 
 The tools that compare two trees by alternating runs take ``--src PATH``
-and call ``use_src(PATH)`` before their first fockmodes import.  The
+and call ``use_src(PATH)`` before their first fockmodes import; one that
+runs a second tree in the same process loads it with ``load_tree``.  The
 per-layer timers among them add up their parts with ``best_of`` and report
 the passes with ``quartiles`` and ``share``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import statistics
 import sys
@@ -33,6 +35,23 @@ def use_src(path: str) -> None:
 
     if Path(fockmodes.__file__).resolve().parent != src / "fockmodes":
         raise SystemExit(f"error: imported fockmodes from {fockmodes.__file__}, not {src}")
+
+
+def load_tree(path: str, name: str):
+    """Import the fockmodes package under `path` as the package `name`,
+    beside the one ``use_src`` imported, and return it.  The package
+    imports its own modules only relatively, so they load as submodules of
+    `name`.  Exits with an error when `path` holds no fockmodes package."""
+    package = Path(path).resolve() / "fockmodes"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"error: no fockmodes package under {package.parent}")
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def best_of(totals: dict[str, float], name: str, call, repeat: int):

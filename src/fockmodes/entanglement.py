@@ -30,7 +30,9 @@ class Partition:
     side_b: tuple[int, ...]
 
     def __post_init__(self):
-        if any(isinstance(i, bool) for i in self.side_a + self.side_b):
+        # Numpy booleans, unlike Python's, have no __index__.
+        if any(isinstance(i, bool) or not hasattr(type(i), "__index__")
+               for i in self.side_a + self.side_b):
             raise PartitionError("mode indices must be integers, not booleans")
         side_a = tuple(operator.index(i) for i in self.side_a)
         side_b = tuple(operator.index(i) for i in self.side_b)

@@ -64,17 +64,6 @@ class PureState:
         self.amplitudes = kept
 
     @classmethod
-    def _of_pruned(cls, mode_count: int, amplitudes: dict) -> PureState:
-        """State built by the library around `amplitudes`, which it keeps:
-        keys of a PureState of `mode_count` modes or labels of the ladder's
-        sectors, mapped to Python complex amplitudes none of which is below
-        PRUNE_THRESHOLD."""
-        state = cls.__new__(cls)
-        state.mode_count = mode_count
-        state.amplitudes = amplitudes
-        return state
-
-    @classmethod
     def _of_checked(
         cls,
         mode_count: int,
@@ -83,15 +72,17 @@ class PureState:
     ) -> PureState:
         """State built by the library, whose occupations need no check.
 
-        `occupations` must be keys of a PureState of `mode_count` modes,
-        paired in order with Python complex `amplitudes`.  Amplitudes below
-        PRUNE_THRESHOLD are dropped, as in the public constructor.
+        `occupations` must be keys of a PureState of `mode_count` modes, or
+        labels from ``enumerate_sector``, paired in order with Python
+        complex `amplitudes`; the state keeps them in that order.
+        Amplitudes below PRUNE_THRESHOLD are dropped, as in the public
+        constructor.
         """
-        return cls._of_pruned(mode_count, {
-            occ: amp
-            for occ, amp in zip(occupations, amplitudes)
-            if abs(amp) >= PRUNE_THRESHOLD
-        })
+        state = cls.__new__(cls)
+        state.mode_count = mode_count
+        state.amplitudes = {occ: amp for occ, amp in zip(occupations, amplitudes)
+                            if abs(amp) >= PRUNE_THRESHOLD}
+        return state
 
     def norm(self) -> float:
         return math.hypot(*map(abs, self.amplitudes.values()))
@@ -118,6 +109,9 @@ def enumerate_sector(mode_count: int, total: int) -> list[Occupation]:
 
     Canonical order: lexicographic with the first mode most significant
     and higher counts first, so (2,0) precedes (1,1) precedes (0,2).
+    ``apply_redefinition`` labels each sector of its result from this list,
+    so its cost is the label cost of a cold rewrite: each occupation counts
+    its sorted mode multiset once.
     """
     mode_count = operator.index(mode_count)
     total = operator.index(total)
@@ -127,8 +121,13 @@ def enumerate_sector(mode_count: int, total: int) -> list[Occupation]:
         raise ValueError("total photon number must be non-negative")
     # Sorted mode multisets come in lexicographic order, and where two first
     # differ the earlier one has one more photon in the lower mode.
-    multisets = itertools.combinations_with_replacement(range(mode_count), total)
-    return [tuple(map(multiset.count, range(mode_count))) for multiset in multisets]
+    occupations = []
+    for multiset in itertools.combinations_with_replacement(range(mode_count), total):
+        counts = [0] * mode_count
+        for mode in multiset:
+            counts[mode] += 1
+        occupations.append(tuple(counts))
+    return occupations
 
 
 def sector_dimension(mode_count: int, total: int) -> int:

@@ -21,12 +21,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from itertools import compress
 
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, SizeLimitError
-from .fock import PRUNE_THRESHOLD, Occupation, PureState, sector_dimension
+from .fock import Occupation, PureState, enumerate_sector, sector_dimension
 
 # Default unitarity acceptance for user-supplied matrices.
 UNITARY_TOLERANCE = 1e-10
@@ -350,21 +349,15 @@ def _lowering(mode_count: int, total: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _sector_labels(mode_count: int, total: int) -> tuple[tuple, np.ndarray]:
+def _sector_labels(mode_count: int, total: int) -> tuple[Occupation, ...]:
     """Occupations of sector `total` in canonical order (that of
-    ``PureState.support``), and the ladder index of each of them: a vector
-    over the sector in ladder order, read at these indices, is in canonical
-    order.
+    ``PureState.support``), from ``enumerate_sector``.
 
-    The canonical order is the ladder order of the occupations with their
-    modes reversed, read backwards, so the labels are read off the ladder's
-    occupations that way, with no copy of them; the indices sort the
-    ladder's occupations, first mode first, and reverse that order."""
-    positions, sources, counts, (size, lower) = _lowering(mode_count, total)
-    occupations = np.zeros((size, mode_count), dtype=np.intp)
-    occupations[sources, positions // lower] = counts
-    labels = tuple(map(tuple, occupations[::-1, ::-1].tolist()))
-    return labels, np.lexsort(occupations.T[::-1])[::-1]
+    They are also the ladder's occupations of the sector with their modes
+    reversed, read backwards: a climb that numbers the new modes backwards
+    gives the sector's amplitudes in this order once its output is
+    reversed."""
+    return tuple(enumerate_sector(mode_count, total))
 
 
 def _side_index(mode_count: int, totals, side) -> tuple[np.ndarray, np.ndarray]:
@@ -516,21 +509,22 @@ def apply_redefinition(state: PureState, unitary: ModeUnitary) -> PureState:
     C(N + M, M), raises SizeLimitError before any table is built.
 
     The result's amplitudes come sector by sector, in increasing photon
-    number, and each sector in canonical order: the ladder's output read at
-    the indices ``_sector_labels`` gives.  Amplitudes below PRUNE_THRESHOLD
-    are dropped while still an array.
+    number, and each sector in canonical order.  The climb numbers the new
+    modes backwards, so each sector's output, reversed, is in the order of
+    its ``_sector_labels``, which ``enumerate_sector`` lists.  Amplitudes
+    below PRUNE_THRESHOLD are dropped.
     """
     if unitary.dim != state.mode_count:
         raise DimensionError(
             f"unitary dimension {unitary.dim} != state mode count {state.mode_count}"
         )
     totals, rewrite = _rewriter(state)
-    subst = unitary.matrix.conj().T  # row j: expansion of old a†_j in new operators
-    values, amplitudes = rewrite(subst), {}
+    # Row j: the expansion of old a†_j in the new operators, last one first.
+    values, labels, amplitudes = rewrite(unitary.matrix.conj().T[:, ::-1]), [], []
     for total in totals:
-        labels, order = _sector_labels(state.mode_count, total)
-        # A sector's indices count from its start; the later sectors follow.
-        sector, values = values[order], values[order.size :]
-        kept = (np.abs(sector) >= PRUNE_THRESHOLD).tolist()
-        amplitudes.update(zip(compress(labels, kept), compress(sector.tolist(), kept)))
-    return PureState._of_pruned(state.mode_count, amplitudes)
+        sector = _sector_labels(state.mode_count, total)
+        # The later sectors follow this one.
+        labels += sector
+        amplitudes += values[len(sector) - 1 :: -1].tolist()
+        values = values[len(sector) :]
+    return PureState._of_checked(state.mode_count, labels, amplitudes)

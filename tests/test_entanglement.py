@@ -44,9 +44,14 @@ def test_partition_validation():
 
 
 def test_partition_refuses_boolean_mode_indices():
-    for sides in (((True,), (0,)), ((0,), (False, 2)), ((1, 2), (True,))):
+    for sides in (((True,), (0,)), ((0,), (False, 2)), ((1, 2), (True,)),
+                  ((np.True_,), (0,)), ((0,), (np.False_, 2))):
         with pytest.raises(PartitionError, match="booleans"):
             Partition(*sides)
+    for index in (1.5, "1", None, np.float64(1.0)):
+        for sides in (((index,), (0,)), ((0,), (2, index))):
+            with pytest.raises(PartitionError, match="integers"):
+                Partition(*sides)
     part = Partition((np.int64(1),), (np.intp(0), np.int32(2)))
     assert part.side_a == (1,) and part.side_b == (0, 2)
     assert all(type(i) is int for i in part.side_a + part.side_b)

@@ -243,27 +243,6 @@ def _spread_state(mode_count):
         (parse_state("|12,0,0>"), "0|1,2"),
         (parse_state("|4,4,4>"), "1|0,2"),
         (parse_state("|19,0>"), "0|1"),
-    ],
-    ids=[
-        "noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40",
-        "vacuum", "vacuum-triple3", "fock1200", "fock444", "fock190",
-    ],
-)
-def test_block_objective_matches_dense_schmidt_spectrum(state, cut):
-    part = Partition.from_string(cut)
-    objective = entropy_objective(state, part)
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        theta = rng.uniform(-np.pi, np.pi, state.mode_count**2)
-        direct = schmidt_spectrum(
-            apply_redefinition(state, exp_map(theta)), part
-        ).entropy_bits
-        assert objective(theta) == pytest.approx(direct, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "state, cut",
-    [
         # Blocks 15x1, 5x5 and 1x15; mostly thick blocks; a 2x2 block between
         # two thin ones; one block joining the vacuum and the pair's totals.
         (crossed_pair_state(5), "0,1,2,3,4|5,6,7,8,9"),
@@ -276,14 +255,22 @@ def test_block_objective_matches_dense_schmidt_spectrum(state, cut):
         (parse_state("|000> + 0.5i*|110> - |101> + |020>"), "2,0|1"),
     ],
     ids=[
+        "noon8", "fock332", "fock2221", "vacuum-pair3", "vacuum-pairs4", "spread40",
+        "vacuum", "vacuum-triple3", "fock1200", "fock444", "fock190",
         "crossed10", "fock2122", "four-photon", "vacuum-pair",
         "four-photon-unsorted", "vacuum-pair3-unsorted",
     ],
 )
-def test_dense_objective_matches_sparse_rewrite(state, cut):
-    # The cases still under the test's former name; they move to the test
-    # above in a later change.
-    test_block_objective_matches_dense_schmidt_spectrum(state, cut)
+def test_block_objective_matches_dense_schmidt_spectrum(state, cut):
+    part = Partition.from_string(cut)
+    objective = entropy_objective(state, part)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, state.mode_count**2)
+        direct = schmidt_spectrum(
+            apply_redefinition(state, exp_map(theta)), part
+        ).entropy_bits
+        assert objective(theta) == pytest.approx(direct, abs=1e-12)
 
 
 def test_objective_matches_state_built_from_permanent_oracle():

@@ -353,12 +353,13 @@ def test_side_index_ranks_restrictions_in_ladder_order(mode_count, totals, side)
     "mode_count, total", [(1, 0), (1, 4), (3, 0), (3, 2), (4, 5), (6, 3), (40, 2)]
 )
 def test_sector_labels_are_canonical_and_index_the_ladder(mode_count, total):
+    # The climb on reversed new modes, read backwards, is in canonical order.
     from fockmodes.transform import _sector_labels
 
-    labels, order = _sector_labels(mode_count, total)
-    assert list(labels) == enumerate_sector(mode_count, total)
+    labels = list(_sector_labels(mode_count, total))
+    assert labels == enumerate_sector(mode_count, total)
     ladder = ladder_labels(mode_count, total)
-    assert [ladder[index] for index in order] == list(labels)
+    assert labels == [occ[::-1] for occ in reversed(ladder)]
 
 
 @pytest.mark.parametrize(
@@ -371,20 +372,43 @@ def test_sector_labels_are_canonical_and_index_the_ladder(mode_count, total):
     ids=["zero", "identity-pruned", "vacuum-plus-pairs"],
 )
 def test_rewrite_is_the_ladder_output_keyed_by_ladder_labels(state):
-    # Under the identity the zeros of every populated sector are pruned.
+    # Under the identity the zeros of every populated sector are pruned.  The
+    # rewrite climbs the new modes in reverse, so its ladder labels are
+    # reversed too.
     from fockmodes import transform
     from fockmodes.fock import PRUNE_THRESHOLD
 
     unitary = ModeUnitary.identity(state.mode_count)
     totals, rewrite = transform._rewriter(state)
-    labels = [occ for total in totals for occ in ladder_labels(state.mode_count, total)]
-    values = rewrite(unitary.matrix.conj().T).tolist()
+    labels = [
+        occ[::-1] for total in totals for occ in ladder_labels(state.mode_count, total)
+    ]
+    values = rewrite(unitary.matrix.conj().T[:, ::-1]).tolist()
     expected = {
         occ: amp for occ, amp in zip(labels, values) if abs(amp) >= PRUNE_THRESHOLD
     }
     out = apply_redefinition(state, unitary)
     assert out.amplitudes == expected
     assert set(out.amplitudes) == set(state.amplitudes)
+
+
+def test_wide_rewrite_labels_its_sector_once():
+    # One term of 2 photons in 141 modes: 10 011 rows.  Their labels, one
+    # 141-entry tuple each, take about 12 MB; a dense (rows x modes) table
+    # and its lists beside them would take the peak past 30 MB.
+    from fockmodes import transform
+
+    transform._ladder(141).rungs(2)
+    transform._sector_labels.cache_clear()
+    state = basis_state((2,) + (0,) * 140)
+    tracemalloc.start()
+    try:
+        out = apply_redefinition(state, ModeUnitary.identity(141))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.amplitudes == {(2,) + (0,) * 140: pytest.approx(1.0, abs=1e-15)}
+    assert peak < 20_000_000
 
 
 def test_rewrite_emits_each_sector_in_canonical_order(rng):

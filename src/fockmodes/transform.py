@@ -55,6 +55,8 @@ class ModeUnitary:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionError("unitary must have at least one mode")
+        if not np.isfinite(m).all():
+            raise NotUnitaryError("matrix has a non-finite entry", residual=math.nan)
         residual = float(
             np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         )
@@ -144,7 +146,8 @@ def exp_map(theta) -> ModeUnitary:
     `theta` of length M^2 (layout as in ``hermitian_from_params``).
 
     Surjective onto U(M), so it serves as unconstrained coordinates for
-    optimization over all mode redefinitions.
+    optimization over all mode redefinitions.  A non-finite parameter gives
+    a non-finite matrix, which ModeUnitary refuses with NotUnitaryError.
     """
     return ModeUnitary(
         exp_i_hermitian(hermitian_from_params(theta)), tol=EXP_MAP_TOLERANCE
@@ -157,6 +160,7 @@ def beam_splitter(
     """Two-mode mixer embedded in an M-mode identity.
 
     The (i, j) block is [[cos t, e^{i phi} sin t], [-e^{-i phi} sin t, cos t]].
+    A non-finite angle raises NotUnitaryError.
     """
     mode_count = operator.index(mode_count)
     i = operator.index(i)
@@ -164,6 +168,11 @@ def beam_splitter(
     if not (0 <= i < j < mode_count):
         raise IndexError(
             f"mode indices must satisfy 0 <= i < j < {mode_count}, got ({i}, {j})"
+        )
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise NotUnitaryError(
+            f"beam splitter angles must be finite, got theta={theta!r}, phi={phi!r}",
+            residual=math.nan,
         )
     m = np.eye(mode_count, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,24 @@ def test_validate_unitary_rejects_rank_deficient():
 def test_validate_unitary_rejects_non_square():
     with pytest.raises(DimensionError):
         validate_unitary(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [lambda bad: validate_unitary([[bad, 0], [0, 1]]),
+     lambda bad: validate_unitary([[1, 0], [0, complex(0.0, bad)]]),
+     lambda bad: beam_splitter(2, 0, 1, bad),
+     lambda bad: beam_splitter(2, 0, 1, 0.3, phi=bad)],
+    ids=["real-entry", "imag-entry", "theta", "phi"],
+)
+def test_non_finite_unitary_input_raises_not_unitary_and_nothing_else(build, bad):
+    # Refused before any arithmetic: no numpy warning and no bare ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitaryError) as err:
+            build(bad)
+    assert math.isnan(err.value.residual)
 
 
 def test_mode_unitary_compose_and_adjoint():
@@ -503,8 +522,11 @@ def test_hermitian_from_params_fills_its_layout(dim, rng):
 def test_exp_map_rejects_non_finite_parameters(bad, position):
     theta = np.zeros(4)
     theta[position] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(NotUnitaryError):
-        exp_map(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitaryError) as err:
+            exp_map(theta)
+    assert math.isnan(err.value.residual)
 
 
 def test_every_exported_name_resolves():

@@ -2,9 +2,9 @@
 
 The tools that compare two trees by alternating runs take ``--src PATH``
 and call ``use_src(PATH)`` before their first fockmodes import; one that
-runs a second tree in the same process loads it with ``load_tree``.  The
-per-layer timers among them add up their parts with ``best_of`` and report
-the passes with ``quartiles`` and ``share``.
+runs a second tree in the same process loads it with ``load_tree``.
+``tools/layers.py`` times its parts with ``best_of`` and reports the passes
+with ``quartiles`` and ``share``.
 """
 
 from __future__ import annotations
@@ -54,16 +54,15 @@ def load_tree(path: str, name: str):
     return module
 
 
-def best_of(totals: dict[str, float], name: str, call, repeat: int):
-    """Run `call` `repeat` times, add its fastest run in ms to totals[name],
-    and return the result of its last run."""
+def best_of(call, repeat: int):
+    """Run `call` `repeat` times; return the result of its last run and its
+    fastest run in ms."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
         result = call()
         best = min(best, time.perf_counter() - start)
-    totals[name] = totals.get(name, 0.0) + best * 1000.0
-    return result
+    return result, best * 1000.0
 
 
 def quartiles(prefix: str, times: list[float]) -> dict[str, float]:

@@ -4,10 +4,8 @@ redefinitions and extremization of bipartite mode entanglement."""
 from .entanglement import (
     Partition,
     SchmidtSpectrum,
-    coefficient_matrix,
     entropy_of_spectrum,
     rank_bound,
-    reduced_density_matrix,
     schmidt_spectrum,
 )
 from .errors import (
@@ -76,7 +74,6 @@ __all__ = [
     "basis_state",
     "beam_splitter",
     "canonicalize_phase",
-    "coefficient_matrix",
     "entropy_of_spectrum",
     "enumerate_sector",
     "exp_map",
@@ -90,7 +87,6 @@ __all__ = [
     "parse_unitary_file",
     "permanent",
     "rank_bound",
-    "reduced_density_matrix",
     "schmidt_spectrum",
     "sector_dimension",
     "sector_weights",

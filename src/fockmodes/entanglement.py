@@ -96,41 +96,6 @@ def _restrictions(state: PureState, side: tuple[int, ...]) -> list[Occupation]:
     return list(map(pick, state.amplitudes))
 
 
-def _grid(
-    state: PureState, partition: Partition, canonical: bool
-) -> tuple[np.ndarray, list[Occupation], list[Occupation]]:
-    """The coefficient matrix with its row and column occupations: in
-    canonical order when `canonical`, else in order of first appearance in
-    the state's dict, which leaves the singular values as they are."""
-    partition.ensure_covers(state.mode_count)
-    row_of = _restrictions(state, partition.side_a)
-    col_of = _restrictions(state, partition.side_b)
-    rows, cols = list(dict.fromkeys(row_of)), list(dict.fromkeys(col_of))
-    if canonical:
-        rows, cols = sorted(rows, reverse=True), sorted(cols, reverse=True)
-    row_index = dict(zip(rows, range(len(rows))))
-    col_index = dict(zip(cols, range(len(cols))))
-    count = len(state.amplitudes)
-    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
-    matrix[
-        np.fromiter(map(row_index.__getitem__, row_of), np.intp, count),
-        np.fromiter(map(col_index.__getitem__, col_of), np.intp, count),
-    ] = np.fromiter(state.amplitudes.values(), complex, count)
-    return matrix, rows, cols
-
-
-def coefficient_matrix(
-    state: PureState, partition: Partition
-) -> tuple[np.ndarray, list[Occupation], list[Occupation]]:
-    """Amplitudes arranged as a (side-A occupations) x (side-B occupations) matrix.
-
-    Rows and columns are exactly the restrictions appearing in the support,
-    in canonical order, which ``reduced_density_matrix`` and other callers
-    index by; the Frobenius norm equals the state norm.
-    """
-    return _grid(state, partition, canonical=True)
-
-
 def _require_unit_sum(lambdas: np.ndarray) -> None:
     """Raise unless the Schmidt coefficients sum to one within 1e-10; a NaN
     sum fails too."""
@@ -153,11 +118,23 @@ def entropy_of_spectrum(lambdas: np.ndarray) -> float:
 def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
     """Squared singular values of the coefficient matrix, descending, plus entropy.
 
-    The matrix's rows and columns are ranked by first appearance in the
+    The matrix has one row per side-A restriction and one column per side-B
+    restriction of the support, each ranked by first appearance in the
     state's dict, not sorted: singular values do not depend on their order.
+    Its Frobenius norm is the state norm.
     """
     require_normalized(state)
-    matrix, _, _ = _grid(state, partition, canonical=False)
+    partition.ensure_covers(state.mode_count)
+    row_of = _restrictions(state, partition.side_a)
+    col_of = _restrictions(state, partition.side_b)
+    count = len(state.amplitudes)
+    row_index = dict(zip(dict.fromkeys(row_of), range(count)))
+    col_index = dict(zip(dict.fromkeys(col_of), range(count)))
+    matrix = np.zeros((len(row_index), len(col_index)), dtype=complex)
+    matrix[
+        np.fromiter(map(row_index.__getitem__, row_of), np.intp, count),
+        np.fromiter(map(col_index.__getitem__, col_of), np.intp, count),
+    ] = np.fromiter(state.amplitudes.values(), complex, count)
     # Descending, as the SVD returns them.  Squares are never negative; only
     # rounding can lift one above 1.
     lambdas = np.minimum(np.linalg.svd(matrix, compute_uv=False) ** 2, 1.0)
@@ -168,31 +145,6 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
         entropy_bits=entropy_of_spectrum(lambdas),
         numerical_rank=int((lambdas > RANK_THRESHOLD).sum()),
     )
-
-
-def reduced_density_matrix(
-    state: PureState, partition: Partition, side: str = "A"
-) -> tuple[np.ndarray, list[Occupation]]:
-    """Reduced density matrix of one side, with its occupation index.
-
-    Side 'A' returns C C† on the row occupations, side 'B' returns
-    Cᵀ conj(C) on the column occupations; eigenvalues match the Schmidt
-    spectrum either way.  Any other side, in either case, is a
-    PartitionError.
-    """
-    require_normalized(state)
-    if not isinstance(side, str) or side.upper() not in ("A", "B"):
-        raise PartitionError(f"side must be 'A' or 'B', got {side!r}")
-    matrix, rows, cols = coefficient_matrix(state, partition)
-    if side.upper() == "A":
-        rho = matrix @ matrix.conj().T
-        index = rows
-    else:
-        rho = matrix.T @ matrix.conj()
-        index = cols
-    # The trace of rho is the sum of the Schmidt coefficients.
-    _require_unit_sum(np.diagonal(rho).real)
-    return rho, index
 
 
 def rank_bound(state: PureState, partition: Partition) -> int:

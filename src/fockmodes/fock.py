@@ -19,7 +19,9 @@ from .errors import DegenerateStateError, DimensionError, NotNormalizedError
 # Amplitudes below this modulus are dropped when states are built.
 PRUNE_THRESHOLD = 1e-15
 # Deviation from unit norm accepted by operations that need a normalized state.
-NORM_TOLERANCE = 1e-9
+# The Schmidt coefficients sum to the squared norm, which must be 1 within
+# 1e-10; (1 + 1e-11)**2 - 1 is about 2e-11, leaving room for rounding.
+NORM_TOLERANCE = 1e-11
 
 Occupation = tuple[int, ...]
 

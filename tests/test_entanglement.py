@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from fockmodes import (
     NotNormalizedError,
     NumericalConsistencyError,
+    OptConfig,
     Partition,
     PartitionError,
     PureState,
     apply_redefinition,
     basis_state,
-    coefficient_matrix,
     entropy_of_spectrum,
     enumerate_sector,
+    format_state,
     normalize,
+    optimize_entanglement,
     parse_state,
     rank_bound,
-    reduced_density_matrix,
     schmidt_spectrum,
 )
 from fockmodes.suite import crossed_pair_state, two_photon_pair
@@ -63,34 +64,20 @@ def test_partition_from_string_roundtrip():
     assert str(part) == "0,2|1,3"
 
 
-def test_coefficient_matrix_single_photon_pair():
-    matrix, rows, cols = coefficient_matrix(
-        parse_state("|01> + |10>"), Partition((0,), (1,))
-    )
-    assert rows == [(1,), (0,)]
-    assert cols == [(1,), (0,)]
-    np.testing.assert_allclose(
-        matrix, [[0, 1 / math.sqrt(2)], [1 / math.sqrt(2), 0]], atol=1e-15
-    )
+def canonical_matrix(state, partition):
+    """The coefficient matrix built per occupation, rows and columns sorted."""
+    def restrict(occ, side):
+        return tuple(occ[i] for i in side)
 
-
-def test_coefficient_matrix_product_state():
-    matrix, rows, cols = coefficient_matrix(basis_state((1, 1)), Partition((0,), (1,)))
-    assert matrix.shape == (1, 1)
-    assert matrix[0, 0] == pytest.approx(1.0)
-
-
-def test_coefficient_matrix_crossed_pairs():
-    matrix, rows, cols = coefficient_matrix(
-        crossed_pair_state(2), Partition((0, 1), (2, 3))
-    )
-    assert rows == [(1, 0), (0, 1)]
-    assert cols == [(1, 0), (0, 1)]
-    # Anti-diagonal 1/sqrt(2): |01>|10> and |10>|01| components.
-    np.testing.assert_allclose(
-        matrix, [[0, 1 / math.sqrt(2)], [1 / math.sqrt(2), 0]], atol=1e-15
-    )
-    assert np.linalg.norm(matrix) == pytest.approx(1.0, abs=1e-12)
+    rows = sorted({restrict(occ, partition.side_a) for occ in state.amplitudes})[::-1]
+    cols = sorted({restrict(occ, partition.side_b) for occ in state.amplitudes})[::-1]
+    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
+    for occ, amp in state.amplitudes.items():
+        matrix[
+            rows.index(restrict(occ, partition.side_a)),
+            cols.index(restrict(occ, partition.side_b)),
+        ] = amp
+    return matrix
 
 
 @pytest.mark.parametrize(
@@ -106,35 +93,22 @@ def test_coefficient_matrix_crossed_pairs():
 def test_coefficient_matrix_matches_per_occupation_restriction(
     rng, mode_count, totals, partition
 ):
-    def restrict(occ, side):
-        return tuple(occ[i] for i in side)
-
     for _ in range(5):
         state = random_state(rng, mode_count, totals)
         # Drop some occupations so rows and columns are a strict subset.
         kept = {
             occ: amp for occ, amp in state.amplitudes.items() if rng.random() < 0.7
-        }
-        state = PureState(mode_count, kept)
-        matrix, rows, cols = coefficient_matrix(state, partition)
-        assert rows == sorted(
-            {restrict(occ, partition.side_a) for occ in kept}, reverse=True
+        } or dict([next(iter(state.amplitudes.items()))])
+        state = normalize(PureState(mode_count, kept))
+        expected = np.linalg.svd(canonical_matrix(state, partition), compute_uv=False)
+        np.testing.assert_allclose(
+            schmidt_spectrum(state, partition).lambdas, expected**2, rtol=0, atol=1e-12
         )
-        assert cols == sorted(
-            {restrict(occ, partition.side_b) for occ in kept}, reverse=True
-        )
-        expected = np.zeros((len(rows), len(cols)), dtype=complex)
-        for occ, amp in kept.items():
-            expected[
-                rows.index(restrict(occ, partition.side_a)),
-                cols.index(restrict(occ, partition.side_b)),
-            ] = amp
-        np.testing.assert_array_equal(matrix, expected)
 
 
 def test_coefficient_matrix_partition_mismatch():
     with pytest.raises(PartitionError):
-        coefficient_matrix(basis_state((1, 1)), Partition((0,), (2,)))
+        schmidt_spectrum(basis_state((1, 1)), Partition((0,), (2,)))
 
 
 def test_schmidt_spectrum_examples():
@@ -153,10 +127,35 @@ def test_schmidt_spectrum_examples():
     np.testing.assert_allclose(spectrum.lambdas, [1 / 3] * 3, atol=1e-12)
     assert spectrum.entropy_bits == pytest.approx(math.log2(3), abs=1e-12)
 
+    # Mode 0 holds 3/4 vacuum and 1/4 photon pair.
+    state = PureState(4, {(0, 1, 1, 0): math.sqrt(3) / 2, (2, 0, 0, 0): 0.5})
+    spectrum = schmidt_spectrum(state, Partition((0,), (1, 2, 3)))
+    np.testing.assert_allclose(spectrum.lambdas, [0.75, 0.25], atol=1e-12)
+
 
 def test_schmidt_spectrum_requires_a_normalized_state():
     with pytest.raises(NotNormalizedError):
         schmidt_spectrum(PureState(2, {(1, 0): 2.0}), Partition((0,), (1,)))
+
+
+def test_states_the_norm_check_accepts_pass_the_unit_sum_check():
+    # The Schmidt coefficients sum to the squared norm, which must be 1
+    # within 1e-10: a norm of 1 + 5e-10 is refused up front, not mid-way.
+    cut = Partition((0,), (1,))
+    for excess, accepted in ((5e-10, False), (5e-12, True)):
+        amp = (1 + excess) / math.sqrt(2)
+        pair = PureState(2, {(1, 0): amp, (0, 1): amp})
+        bunched = PureState(2, {(2, 0): amp, (0, 2): amp})
+        for call in (
+            lambda: schmidt_spectrum(pair, cut),
+            lambda: optimize_entanglement(bunched, cut, OptConfig("max", restarts=1)),
+            lambda: format_state(bunched),
+        ):
+            if accepted:
+                call()
+            else:
+                with pytest.raises(NotNormalizedError):
+                    call()
 
 
 def test_entropy_of_pure_state_is_positive_zero():
@@ -209,8 +208,7 @@ def test_spectrum_matches_the_canonical_matrix_in_any_dict_order(seed):
     modes = [int(i) for i in rng.permutation(mode_count)]
     split = int(rng.integers(1, mode_count))
     part = Partition(tuple(modes[:split]), tuple(modes[split:]))
-    matrix, _, _ = coefficient_matrix(state, part)
-    expected = np.linalg.svd(matrix, compute_uv=False) ** 2
+    expected = np.linalg.svd(canonical_matrix(state, part), compute_uv=False) ** 2
     shuffled = PureState(
         mode_count, dict(list(state.amplitudes.items())[i] for i in rng.permutation(len(state)))
     )
@@ -237,44 +235,14 @@ def test_entropy_invariant_under_block_unitaries(rng):
         assert abs(before - after) < 1e-10
 
 
-def test_reduced_density_matrix_examples():
-    rho, index = reduced_density_matrix(
-        parse_state("|01> + |10>"), Partition((0,), (1,)), side="A"
+def test_schmidt_spectrum_checks_its_sum(monkeypatch):
+    # No state within NORM_TOLERANCE reaches this check, so break the SVD.
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda matrix, compute_uv: 2.0 * svd(matrix, compute_uv=compute_uv)
     )
-    assert index == [(1,), (0,)]
-    np.testing.assert_allclose(rho, np.diag([0.5, 0.5]), atol=1e-12)
-
-    rho, index = reduced_density_matrix(
-        basis_state((1, 1)), Partition((0,), (1,)), side="B"
-    )
-    np.testing.assert_allclose(rho, [[1.0]], atol=1e-12)
-
-    # A state whose single-mode reduction is 3/4 vacuum + 1/4 photon pair.
-    state = PureState(
-        4, {(0, 1, 1, 0): math.sqrt(3) / 2, (2, 0, 0, 0): 0.5}
-    )
-    rho, index = reduced_density_matrix(state, Partition((0,), (1, 2, 3)), side="A")
-    assert index == [(2,), (0,)]
-    np.testing.assert_allclose(rho, np.diag([0.25, 0.75]), atol=1e-12)
-
-
-def test_reduced_density_matrix_checks_its_trace(monkeypatch):
-    from fockmodes import entanglement
-
-    def doubled(state, partition):
-        matrix, rows, cols = coefficient_matrix(state, partition)
-        return 2.0 * matrix, rows, cols
-
-    monkeypatch.setattr(entanglement, "coefficient_matrix", doubled)
-    for side in ("A", "B"):
-        with pytest.raises(NumericalConsistencyError, match="sum to"):
-            reduced_density_matrix(two_photon_pair(), Partition((0,), (1,)), side=side)
-
-
-@pytest.mark.parametrize("side", [1, None, b"A", "C", "", "AB"])
-def test_reduced_density_matrix_refuses_other_sides(side):
-    with pytest.raises(PartitionError, match="side must be"):
-        reduced_density_matrix(two_photon_pair(), Partition((0,), (1,)), side=side)
+    with pytest.raises(NumericalConsistencyError, match="sum to"):
+        schmidt_spectrum(two_photon_pair(), Partition((0,), (1,)))
 
 
 def test_reduced_density_matches_schmidt(rng):
@@ -282,8 +250,8 @@ def test_reduced_density_matches_schmidt(rng):
         state = random_state(rng, 3, totals=(1, 3))
         part = Partition((0,), (1, 2))
         spectrum = schmidt_spectrum(state, part)
-        for side in ("A", "B"):
-            rho, _ = reduced_density_matrix(state, part, side=side)
+        matrix = canonical_matrix(state, part)
+        for rho in (matrix @ matrix.conj().T, matrix.T @ matrix.conj()):
             np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
             eigvals = np.sort(np.linalg.eigvalsh(rho))[::-1]
             size = len(spectrum.lambdas)

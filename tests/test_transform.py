@@ -81,6 +81,17 @@ def test_non_finite_unitary_input_raises_not_unitary_and_nothing_else(build, bad
     assert math.isnan(err.value.residual)
 
 
+@pytest.mark.parametrize(
+    "entries", [[[1e200, 0], [0, 1]], [[1e155, 1e155], [0, 1]]], ids=["square", "sum"]
+)
+def test_overflowing_unitary_input_raises_not_unitary_and_nothing_else(entries):
+    # Finite entries whose product overflows: refused without numpy's warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitaryError):
+            validate_unitary(entries)
+
+
 def test_mode_unitary_compose_and_adjoint():
     bal = balanced_mixer()
     prod = bal @ bal.adjoint()

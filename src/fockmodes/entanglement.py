@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, PartitionError
-from .fock import Occupation, PureState, require_normalized, sector_dimension
+from .fock import NORM_TOLERANCE, Occupation, PureState, require_normalized, sector_dimension
 
 # lambdas above this count toward the numerical Schmidt rank; sits between
 # double-precision noise and the smallest meaningful eigenvalue in practice.
@@ -96,13 +96,20 @@ def _restrictions(state: PureState, side: tuple[int, ...]) -> list[Occupation]:
     return list(map(pick, state.amplitudes))
 
 
-def _require_unit_sum(lambdas: np.ndarray) -> None:
-    """Raise unless the Schmidt coefficients sum to one within 1e-10; a NaN
-    sum fails too."""
+def _require_unit_sum(lambdas: np.ndarray, norm: float) -> None:
+    """Raise unless the Schmidt coefficients sum to the squared `norm` of
+    their state within 1e-10 and that norm is 1 within NORM_TOLERANCE; a NaN
+    sum fails too.
+
+    The sum is held to the squared norm, not to 1: (1 + NORM_TOLERANCE)**2
+    is 1 + 2e-9, so a bound of 1e-10 around 1 would refuse states that
+    ``require_normalized`` accepts.
+    """
     total = float(lambdas.sum())
-    if not abs(total - 1.0) <= 1e-10:
+    if not (abs(total - norm * norm) <= 1e-10 and abs(norm - 1.0) <= NORM_TOLERANCE):
         raise NumericalConsistencyError(
-            f"Schmidt coefficients sum to {total!r}, expected 1 within 1e-10"
+            f"Schmidt coefficients sum to {total!r}, expected the squared norm "
+            f"{norm * norm!r} within 1e-10, and that norm 1 within {NORM_TOLERANCE:g}"
         )
 
 
@@ -123,7 +130,7 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
     state's dict, not sorted: singular values do not depend on their order.
     Its Frobenius norm is the state norm.
     """
-    require_normalized(state)
+    norm = require_normalized(state)
     partition.ensure_covers(state.mode_count)
     row_of = _restrictions(state, partition.side_a)
     col_of = _restrictions(state, partition.side_b)
@@ -136,9 +143,10 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
         np.fromiter(map(col_index.__getitem__, col_of), np.intp, count),
     ] = np.fromiter(state.amplitudes.values(), complex, count)
     # Descending, as the SVD returns them.  Squares are never negative; only
-    # rounding can lift one above 1.
-    lambdas = np.minimum(np.linalg.svd(matrix, compute_uv=False) ** 2, 1.0)
-    _require_unit_sum(lambdas)
+    # rounding, or a norm a hair above 1, can lift one above 1.
+    squares = np.linalg.svd(matrix, compute_uv=False) ** 2
+    _require_unit_sum(squares, norm)
+    lambdas = np.minimum(squares, 1.0)
     lambdas.setflags(write=False)
     return SchmidtSpectrum(
         lambdas=lambdas,

@@ -19,9 +19,7 @@ from .errors import DegenerateStateError, DimensionError, NotNormalizedError
 # Amplitudes below this modulus are dropped when states are built.
 PRUNE_THRESHOLD = 1e-15
 # Deviation from unit norm accepted by operations that need a normalized state.
-# The Schmidt coefficients sum to the squared norm, which must be 1 within
-# 1e-10; (1 + 1e-11)**2 - 1 is about 2e-11, leaving room for rounding.
-NORM_TOLERANCE = 1e-11
+NORM_TOLERANCE = 1e-9
 
 Occupation = tuple[int, ...]
 
@@ -137,15 +135,17 @@ def sector_dimension(mode_count: int, total: int) -> int:
     return math.comb(total + mode_count - 1, mode_count - 1)
 
 
-def require_normalized(state: PureState) -> None:
-    """Raise unless the state has unit norm within NORM_TOLERANCE."""
+def require_normalized(state: PureState) -> float:
+    """The state's norm; raise unless it is 1 within NORM_TOLERANCE."""
     if not state.amplitudes:
         raise DegenerateStateError("state has zero norm")
-    deviation = abs(state.norm() - 1.0)
+    norm = state.norm()
+    deviation = abs(norm - 1.0)
     if deviation > NORM_TOLERANCE:
         raise NotNormalizedError(
             f"state norm deviates from 1 by {deviation:.3e}; normalize it first"
         )
+    return norm
 
 
 def normalize(state: PureState) -> PureState:

@@ -251,7 +251,8 @@ def _coset_search(state: PureState, partition: Partition, sign: float):
     cached ``_block_layout`` (one ``np.bincount`` of |amplitude|^2 gives the
     coefficient of every block with one row or column, one stacked SVD those
     of the others), checks with ``_require_unit_sum`` that the coefficients
-    sum to one within 1e-10, raising NumericalConsistencyError otherwise,
+    sum to the squared norm of `state` within 1e-10 and that norm is 1
+    within NORM_TOLERANCE, raising NumericalConsistencyError otherwise,
     and returns sign times ``entropy_of_spectrum`` and a function of no
     arguments giving sign times the gradient over the steps s at that point.
     advance(S, s) is S exp(-iP(s)), the substitution of exp(iP(s)) U.
@@ -279,6 +280,7 @@ def _coset_search(state: PureState, partition: Partition, sign: float):
     if not state.amplitudes:
         raise DegenerateStateError("state has zero norm")
     mode_count = state.mode_count
+    norm = state.norm()
     totals, rewrite = _rewriter(state)
     bins, thin_count, cells, shape = _block_layout(mode_count, totals, partition)
     stack_size = math.prod(shape)
@@ -297,7 +299,7 @@ def _coset_search(state: PureState, partition: Partition, sign: float):
             stack = stack[:-1].reshape(shape)
             singulars = np.linalg.svd(stack, compute_uv=False)
             lam = np.concatenate((lam, singulars.ravel() ** 2))
-        _require_unit_sum(lam)
+        _require_unit_sum(lam, norm)
 
         def gradient() -> np.ndarray:
             grad = np.append(_entropy_derivative(lam[:thin_count]), 0.0)[bins[::2]] * amplitudes
@@ -343,8 +345,9 @@ def entropy_objective(
     modes PartitionError.
 
     The closure raises DimensionError for a theta whose length is not M^2
-    and NumericalConsistencyError when the Schmidt coefficients miss a sum
-    of one by more than 1e-10, as ``schmidt_spectrum`` does.
+    and NumericalConsistencyError when the Schmidt coefficients miss the
+    state's squared norm by more than 1e-10, or the state's norm misses 1 by
+    more than NORM_TOLERANCE, as ``schmidt_spectrum`` checks.
     """
     evaluate, _ = _coset_search(state, partition, 1.0)
     mode_count = state.mode_count

@@ -58,6 +58,18 @@ def test_transform_command(capsys, circular_file):
     assert out == "|11>"
 
 
+def test_transform_takes_a_unitary_file_written_to_ten_digits(tmp_path, capsys):
+    # 0.7071067812 misses 1/sqrt(2) by 1.9e-11: a residual of 3.8e-11, which
+    # the file reader accepts, and a rewrite whose norm is 1 + 1.9e-11.
+    a = 0.7071067812
+    path = tmp_path / "splitter.json"
+    path.write_text(json.dumps({"dim": 2, "rows": [[[a, 0], [a, 0]], [[a, 0], [-a, 0]]]}))
+    code = run_cli(["transform", "|10>", "--unitary", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "|10>" in captured.out and "|01>" in captured.out
+
+
 def test_optimize_command_json(capsys):
     argv = [
         "optimize", "|00>+|11>", "--partition", "0|1", "--direction", "max",

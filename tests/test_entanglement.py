@@ -22,6 +22,7 @@ from fockmodes import (
     parse_state,
     rank_bound,
     schmidt_spectrum,
+    validate_unitary,
 )
 from fockmodes.suite import crossed_pair_state, two_photon_pair
 
@@ -139,15 +140,19 @@ def test_schmidt_spectrum_requires_a_normalized_state():
 
 
 def test_states_the_norm_check_accepts_pass_the_unit_sum_check():
-    # The Schmidt coefficients sum to the squared norm, which must be 1
-    # within 1e-10: a norm of 1 + 5e-10 is refused up front, not mid-way.
+    # The Schmidt coefficients sum to the squared norm: 1 + 1e-9 at a norm of
+    # 1 + 5e-10, inside NORM_TOLERANCE, where every entry takes the state;
+    # a norm of 1 + 5e-9 is refused up front, not mid-way.
     cut = Partition((0,), (1,))
-    for excess, accepted in ((5e-10, False), (5e-12, True)):
+    for excess, accepted in ((5e-10, True), (5e-9, False)):
         amp = (1 + excess) / math.sqrt(2)
         pair = PureState(2, {(1, 0): amp, (0, 1): amp})
         bunched = PureState(2, {(2, 0): amp, (0, 2): amp})
+        # One coefficient, 1 + 2 * excess, which the spectrum clips to 1.
+        single = PureState(2, {(1, 0): 1 + excess})
         for call in (
             lambda: schmidt_spectrum(pair, cut),
+            lambda: schmidt_spectrum(single, cut),
             lambda: optimize_entanglement(bunched, cut, OptConfig("max", restarts=1)),
             lambda: format_state(bunched),
         ):
@@ -156,6 +161,19 @@ def test_states_the_norm_check_accepts_pass_the_unit_sum_check():
             else:
                 with pytest.raises(NotNormalizedError):
                     call()
+
+
+def test_rewrites_by_any_accepted_unitary_pass_every_check():
+    # A splitter stretched by 1 + 4.9e-11 has a residual of 9.8e-11, inside
+    # validate_unitary's tolerance; the two-photon rewrite's squared norm is
+    # then 1 + 2e-10, past 1e-10 from 1.
+    splitter = validate_unitary((1 + 4.9e-11) * np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    rewrite = apply_redefinition(parse_state("|11>"), splitter)
+    cut = Partition((0,), (1,))
+    assert schmidt_spectrum(rewrite, cut).entropy_bits == pytest.approx(1.0, abs=1e-9)
+    result = optimize_entanglement(rewrite, cut, OptConfig("min", restarts=3))
+    assert result.best_entropy_bits == pytest.approx(0.0, abs=1e-6)
+    assert format_state(rewrite)
 
 
 def test_entropy_of_pure_state_is_positive_zero():
@@ -227,8 +245,6 @@ def test_entropy_invariant_under_block_unitaries(rng):
         block = np.zeros((4, 4), dtype=complex)
         block[np.ix_(part.side_a, part.side_a)] = random_unitary(rng, 2).matrix
         block[np.ix_(part.side_b, part.side_b)] = random_unitary(rng, 2).matrix
-        from fockmodes import validate_unitary
-
         rotated = apply_redefinition(state, validate_unitary(block))
         before = schmidt_spectrum(state, part).entropy_bits
         after = schmidt_spectrum(rotated, part).entropy_bits

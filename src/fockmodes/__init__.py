@@ -46,7 +46,6 @@ from .transform import (
     exp_map,
     fock_matrix_element,
     permanent,
-    validate_unitary,
 )
 
 __version__ = "0.1.0"
@@ -90,5 +89,4 @@ __all__ = [
     "schmidt_spectrum",
     "sector_dimension",
     "sector_weights",
-    "validate_unitary",
 ]

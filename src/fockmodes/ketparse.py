@@ -36,7 +36,7 @@ from .fock import (
     normalize,
     require_normalized,
 )
-from .transform import ModeUnitary, validate_unitary
+from .transform import ModeUnitary
 
 # One token after optional whitespace, tried in this order: an operator, a
 # ket's opening '|', a decimal literal, a name, or any other character.
@@ -313,7 +313,11 @@ def _finite_number(value) -> float | None:
 
 
 def parse_unitary_file(content: bytes | str) -> ModeUnitary:
-    """Read the unitary JSON document {"dim": M, "rows": [[[re, im], ..], ..]}."""
+    """Read the unitary JSON document {"dim": M, "rows": [[[re, im], ..], ..]}.
+
+    A malformed document raises UnitaryFileError, and a matrix that
+    ModeUnitary refuses NotUnitaryError.
+    """
     if isinstance(content, bytes):
         try:
             content = content.decode("utf-8")
@@ -349,7 +353,7 @@ def parse_unitary_file(content: bytes | str) -> ModeUnitary:
                     f"entry ({r}, {c}) must be a [re, im] pair of finite numbers"
                 )
             entries.append(complex(*parts))
-    return validate_unitary(np.reshape(entries, (dim, dim)), tol=1e-8)
+    return ModeUnitary(np.reshape(entries, (dim, dim)))
 
 
 def format_unitary_file(unitary: ModeUnitary) -> str:

@@ -25,12 +25,10 @@ import operator
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, SizeLimitError
-from .fock import Occupation, PureState, enumerate_sector, sector_dimension
+from .fock import Occupation, PureState, _as_occupation, enumerate_sector, sector_dimension
 
-# Default unitarity acceptance for user-supplied matrices.
+# Every ModeUnitary, from a caller, a file or exp_map, has max |U†U - I| at most this.
 UNITARY_TOLERANCE = 1e-10
-# Matrices produced by exp_map must be unitary to this tighter tolerance.
-EXP_MAP_TOLERANCE = 1e-12
 # Ryser's formula costs O(2^n * n); past this size it is not worth running.
 PERMANENT_MAX_DIM = 16
 # A rewrite of N photons in M modes climbs a ladder of C(N + M, M) rows,
@@ -43,13 +41,15 @@ _BATCH_CELLS = 1 << 20
 class ModeUnitary:
     """Validated M x M unitary acting on mode labels.
 
-    The wrapped array is marked read-only; compose with ``@`` and invert
-    with ``adjoint()``.
+    The library's one unitarity check: a matrix whose max |U†U - I| is above
+    UNITARY_TOLERANCE raises NotUnitaryError naming that residual.  The
+    wrapped array is marked read-only; compose with ``@`` and invert with
+    ``adjoint()``.
     """
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, entries, tol: float = UNITARY_TOLERANCE):
+    def __init__(self, entries):
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -61,11 +61,9 @@ class ModeUnitary:
         # the test below without numpy's warning.
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-        if not (residual <= tol):
-            raise NotUnitaryError(
-                f"matrix is not unitary: max |U†U - I| = {residual:.3e} > {tol:.1e}",
-                residual=residual,
-            )
+        if not (residual <= UNITARY_TOLERANCE):
+            raise NotUnitaryError(f"matrix is not unitary: max |U†U - I| = {residual:.3e} "
+                                  f"> {UNITARY_TOLERANCE:.1e}", residual=residual)
         m.setflags(write=False)
         self.dim = int(m.shape[0])
         self.matrix = m
@@ -86,11 +84,6 @@ class ModeUnitary:
 
     def __repr__(self) -> str:
         return f"ModeUnitary(dim={self.dim})"
-
-
-def validate_unitary(entries, tol: float = UNITARY_TOLERANCE) -> ModeUnitary:
-    """Wrap `entries` as a ModeUnitary, rejecting non-unitary input."""
-    return ModeUnitary(entries, tol=tol)
 
 
 @functools.lru_cache(maxsize=16)
@@ -150,9 +143,7 @@ def exp_map(theta) -> ModeUnitary:
     optimization over all mode redefinitions.  A non-finite parameter gives
     a non-finite matrix, which ModeUnitary refuses with NotUnitaryError.
     """
-    return ModeUnitary(
-        exp_i_hermitian(hermitian_from_params(theta)), tol=EXP_MAP_TOLERANCE
-    )
+    return ModeUnitary(exp_i_hermitian(hermitian_from_params(theta)))
 
 
 def beam_splitter(
@@ -181,7 +172,7 @@ def beam_splitter(
     m[i, j] = np.exp(1j * phi) * s
     m[j, i] = -np.exp(-1j * phi) * s
     m[j, j] = c
-    return ModeUnitary(m, tol=EXP_MAP_TOLERANCE)
+    return ModeUnitary(m)
 
 
 def permanent(matrix) -> complex:
@@ -229,15 +220,10 @@ def fock_matrix_element(unitary: ModeUnitary, m, n) -> complex:
     conjugation matches the creation-operator substitution performed by
     ``apply_redefinition``; the two paths are developed independently and
     cross-checked in the test suite.  Exactly zero when the totals differ.
+    `m` and `n` are checked as PureState checks its occupations.
     """
-    m = tuple(operator.index(c) for c in m)
-    n = tuple(operator.index(c) for c in n)
-    if len(m) != unitary.dim or len(n) != unitary.dim:
-        raise DimensionError(
-            f"occupations must have length {unitary.dim}, got {len(m)} and {len(n)}"
-        )
-    if any(c < 0 for c in m + n):
-        raise ValueError("occupations must be non-negative")
+    m = _as_occupation(m, unitary.dim)
+    n = _as_occupation(n, unitary.dim)
     if sum(m) != sum(n):
         return 0j
     if sum(m) == 0:

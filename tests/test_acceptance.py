@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fockmodes import (
+    ModeUnitary,
     OptConfig,
     Partition,
     apply_redefinition,
@@ -27,7 +28,6 @@ from fockmodes import (
     rank_bound,
     schmidt_spectrum,
     sector_weights,
-    validate_unitary,
 )
 from fockmodes.cli import run_cli
 
@@ -211,7 +211,7 @@ def test_criterion_15_local_redefinitions_preserve_entropy():
         block[np.ix_(part.side_b, part.side_b)] = random_unitary(
             rng, len(part.side_b)
         ).matrix
-        rotated = apply_redefinition(state, validate_unitary(block))
+        rotated = apply_redefinition(state, ModeUnitary(block))
         before = schmidt_spectrum(state, part).entropy_bits
         after = schmidt_spectrum(rotated, part).entropy_bits
         assert abs(before - after) < 1e-10

@@ -68,6 +68,25 @@ def test_transform_takes_a_unitary_file_written_to_ten_digits(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert "|10>" in captured.out and "|01>" in captured.out
+    # Sixty photons move the rewrite's norm by 1.1e-9, past NORM_TOLERANCE;
+    # transform prints the normalized rewrite.
+    code = run_cli(["transform", "|60,0>", "--unitary", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "|60,0>" in captured.out and "|0,60>" in captured.out
+
+
+def test_transform_refuses_a_unitary_file_written_to_eight_digits(tmp_path, capsys):
+    # 0.70710678 leaves a residual of 3.4e-9: refused while the file is
+    # parsed, not after a rewrite whose norm it has moved.
+    a = 0.70710678
+    path = tmp_path / "splitter.json"
+    path.write_text(json.dumps({"dim": 2, "rows": [[[a, 0], [a, 0]], [[a, 0], [-a, 0]]]}))
+    code = run_cli(["transform", "|10>", "--unitary", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: matrix is not unitary")
+    assert "3.356e-09" in captured.err
 
 
 def test_optimize_command_json(capsys):

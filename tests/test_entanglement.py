@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockmodes import (
+    DegenerateStateError,
+    ModeUnitary,
     NotNormalizedError,
     NumericalConsistencyError,
     OptConfig,
@@ -22,7 +24,6 @@ from fockmodes import (
     parse_state,
     rank_bound,
     schmidt_spectrum,
-    validate_unitary,
 )
 from fockmodes.suite import crossed_pair_state, two_photon_pair
 
@@ -37,6 +38,8 @@ def test_partition_validation():
         Partition((0, 1), (1, 2))
     with pytest.raises(PartitionError):
         Partition((0, 0), (1,))
+    with pytest.raises(PartitionError):
+        Partition((-1,), (0,))
     with pytest.raises(PartitionError):
         Partition.from_string("0,1")
     # Mode indices are ASCII digits only: no '_', sign or other script.
@@ -81,33 +84,7 @@ def canonical_matrix(state, partition):
     return matrix
 
 
-@pytest.mark.parametrize(
-    "mode_count, totals, partition",
-    [
-        (2, (1, 2), Partition((0,), (1,))),
-        (3, (2,), Partition((1,), (2, 0))),
-        (4, (0, 2, 3), Partition((2, 0), (1, 3))),
-        (4, (3,), Partition((3, 1, 2), (0,))),
-        (5, (1, 2), Partition((4, 0), (3, 1, 2))),
-    ],
-)
-def test_coefficient_matrix_matches_per_occupation_restriction(
-    rng, mode_count, totals, partition
-):
-    for _ in range(5):
-        state = random_state(rng, mode_count, totals)
-        # Drop some occupations so rows and columns are a strict subset.
-        kept = {
-            occ: amp for occ, amp in state.amplitudes.items() if rng.random() < 0.7
-        } or dict([next(iter(state.amplitudes.items()))])
-        state = normalize(PureState(mode_count, kept))
-        expected = np.linalg.svd(canonical_matrix(state, partition), compute_uv=False)
-        np.testing.assert_allclose(
-            schmidt_spectrum(state, partition).lambdas, expected**2, rtol=0, atol=1e-12
-        )
-
-
-def test_coefficient_matrix_partition_mismatch():
+def test_schmidt_spectrum_partition_mismatch():
     with pytest.raises(PartitionError):
         schmidt_spectrum(basis_state((1, 1)), Partition((0,), (2,)))
 
@@ -137,6 +114,9 @@ def test_schmidt_spectrum_examples():
 def test_schmidt_spectrum_requires_a_normalized_state():
     with pytest.raises(NotNormalizedError):
         schmidt_spectrum(PureState(2, {(1, 0): 2.0}), Partition((0,), (1,)))
+    # Every amplitude pruned: no state is left to normalize.
+    with pytest.raises(DegenerateStateError):
+        schmidt_spectrum(PureState(2, {(1, 0): 0.0}), Partition((0,), (1,)))
 
 
 def test_states_the_norm_check_accepts_pass_the_unit_sum_check():
@@ -165,9 +145,9 @@ def test_states_the_norm_check_accepts_pass_the_unit_sum_check():
 
 def test_rewrites_by_any_accepted_unitary_pass_every_check():
     # A splitter stretched by 1 + 4.9e-11 has a residual of 9.8e-11, inside
-    # validate_unitary's tolerance; the two-photon rewrite's squared norm is
-    # then 1 + 2e-10, past 1e-10 from 1.
-    splitter = validate_unitary((1 + 4.9e-11) * np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    # ModeUnitary's tolerance; the two-photon rewrite's squared norm is then
+    # 1 + 2e-10, past 1e-10 from 1.
+    splitter = ModeUnitary((1 + 4.9e-11) * np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     rewrite = apply_redefinition(parse_state("|11>"), splitter)
     cut = Partition((0,), (1,))
     assert schmidt_spectrum(rewrite, cut).entropy_bits == pytest.approx(1.0, abs=1e-9)
@@ -210,6 +190,17 @@ def test_schmidt_side_symmetry(rng):
         assert all(v <= 1e-12 for v in lam_b[size:])
 
 
+# Fixed shapes beside the random one: unsorted sides, a vacuum sector, a
+# single sector and five modes.
+_FIXED_CUTS = [
+    (2, (1, 2), Partition((0,), (1,))),
+    (3, (2,), Partition((1,), (2, 0))),
+    (4, (0, 2, 3), Partition((2, 0), (1, 3))),
+    (4, (3,), Partition((3, 1, 2), (0,))),
+    (5, (1, 2), Partition((4, 0), (3, 1, 2))),
+]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_spectrum_matches_the_canonical_matrix_in_any_dict_order(seed):
@@ -218,24 +209,27 @@ def test_spectrum_matches_the_canonical_matrix_in_any_dict_order(seed):
     rng = np.random.default_rng(seed)
     mode_count = int(rng.integers(2, 5))
     totals = tuple(sorted(rng.choice(4, size=int(rng.integers(2, 4)), replace=False)))
-    full = random_state(rng, mode_count, totals)
-    items = [item for item in full.amplitudes.items() if rng.random() < 0.7] or [
-        next(iter(full.amplitudes.items()))
-    ]
-    state = normalize(PureState(mode_count, dict(items)))
     modes = [int(i) for i in rng.permutation(mode_count)]
     split = int(rng.integers(1, mode_count))
-    part = Partition(tuple(modes[:split]), tuple(modes[split:]))
-    expected = np.linalg.svd(canonical_matrix(state, part), compute_uv=False) ** 2
-    shuffled = PureState(
-        mode_count, dict(list(state.amplitudes.items())[i] for i in rng.permutation(len(state)))
-    )
-    for ordered in (state, shuffled):
-        spectrum = schmidt_spectrum(ordered, part)
-        np.testing.assert_allclose(spectrum.lambdas, expected, rtol=0, atol=1e-12)
-        assert spectrum.entropy_bits == pytest.approx(
-            entropy_of_spectrum(np.minimum(expected, 1.0)), abs=1e-12
+    drawn = (mode_count, totals, Partition(tuple(modes[:split]), tuple(modes[split:])))
+    for mode_count, totals, part in [drawn, *_FIXED_CUTS]:
+        full = random_state(rng, mode_count, totals)
+        # Drop some occupations so rows and columns are a strict subset.
+        items = [item for item in full.amplitudes.items() if rng.random() < 0.7] or [
+            next(iter(full.amplitudes.items()))
+        ]
+        state = normalize(PureState(mode_count, dict(items)))
+        expected = np.linalg.svd(canonical_matrix(state, part), compute_uv=False) ** 2
+        shuffled = PureState(
+            mode_count,
+            dict(list(state.amplitudes.items())[i] for i in rng.permutation(len(state))),
         )
+        for ordered in (state, shuffled):
+            spectrum = schmidt_spectrum(ordered, part)
+            np.testing.assert_allclose(spectrum.lambdas, expected, rtol=0, atol=1e-12)
+            assert spectrum.entropy_bits == pytest.approx(
+                entropy_of_spectrum(np.minimum(expected, 1.0)), abs=1e-12
+            )
 
 
 def test_entropy_invariant_under_block_unitaries(rng):
@@ -245,7 +239,7 @@ def test_entropy_invariant_under_block_unitaries(rng):
         block = np.zeros((4, 4), dtype=complex)
         block[np.ix_(part.side_a, part.side_a)] = random_unitary(rng, 2).matrix
         block[np.ix_(part.side_b, part.side_b)] = random_unitary(rng, 2).matrix
-        rotated = apply_redefinition(state, validate_unitary(block))
+        rotated = apply_redefinition(state, ModeUnitary(block))
         before = schmidt_spectrum(state, part).entropy_bits
         after = schmidt_spectrum(rotated, part).entropy_bits
         assert abs(before - after) < 1e-10
@@ -261,7 +255,7 @@ def test_schmidt_spectrum_checks_its_sum(monkeypatch):
         schmidt_spectrum(two_photon_pair(), Partition((0,), (1,)))
 
 
-def test_reduced_density_matches_schmidt(rng):
+def test_both_marginals_have_the_schmidt_spectrum(rng):
     for _ in range(40):
         state = random_state(rng, 3, totals=(1, 3))
         part = Partition((0,), (1, 2))
@@ -285,6 +279,10 @@ def test_rank_bound_examples():
         rank_bound(parse_state("|0220> + |2002> - |1111>"), Partition((0, 1), (2, 3)))
         == 9
     )
+    # An all-pruned state has no sector to bound.
+    assert rank_bound(PureState(2, {(1, 0): 0.0}), Partition((0,), (1,))) == 0
+    with pytest.raises(ValueError):
+        crossed_pair_state(0)
 
 
 def test_rank_bound_matches_sum_over_sectors():

@@ -70,6 +70,10 @@ def test_pure_state_prunes_and_validates():
         PureState(2, {(1, 0, 0): 1.0})
     with pytest.raises(ValueError):
         PureState(2, {(-1, 0): 1.0})
+    with pytest.raises(ValueError, match="integers"):
+        PureState(2, {(1.5, 0): 1.0})
+    with pytest.raises(DimensionError):
+        PureState(0, {})
     # A NaN amplitude would be pruned, and an infinite one normalized away.
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         with pytest.raises(ValueError, match="not finite"):
@@ -141,6 +145,9 @@ def test_canonicalize_phase_makes_lead_real_positive():
     assert lead.imag == pytest.approx(0.0, abs=1e-15)
     assert lead.real > 0
     assert abs(canon.amplitudes[(0, 2)]) == pytest.approx(0.8)
+    # With no amplitude left there is no lead to turn.
+    empty = PureState(2, {(1, 0): 0.0})
+    assert canonicalize_phase(empty) is empty
 
 
 def test_library_built_states_skip_the_occupation_check(monkeypatch, rng):

@@ -529,6 +529,15 @@ def test_unitary_file_errors():
         )
     assert err.value.residual is not None
     assert isinstance(err.value, Exception)
+    # A splitter written to 8 digits misses unitarity by 3.4e-9, above the
+    # 1e-10 that every ModeUnitary meets, and the message names the residual.
+    a = 0.70710678
+    with pytest.raises(NotUnitaryError, match=r"3\.356e-09") as err:
+        parse_unitary_file(json.dumps({"dim": 2, "rows": [[[a, 0], [a, 0]], [[a, 0], [-a, 0]]]}))
+    assert err.value.residual == pytest.approx(3.356e-9, rel=1e-3)
+    for content in (b"\xff", b"[]"):
+        with pytest.raises(UnitaryFileError):
+            parse_unitary_file(content)
     # Booleans are not numbers here, and every entry must be a finite float.
     huge = "1" + "0" * 400
     for doc in [

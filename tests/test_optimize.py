@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fockmodes import (
+    DegenerateStateError,
     DimensionError,
     NumericalConsistencyError,
     OptConfig,
@@ -366,6 +368,9 @@ def test_objective_checks_schmidt_coefficients_sum_to_one():
     objective = entropy_objective(unnormalized, Partition((0, 1), (2, 3)))
     with pytest.raises(NumericalConsistencyError, match="sum to"):
         objective(np.random.default_rng(5).uniform(-np.pi, np.pi, 16))
+    # An all-pruned state has nothing to rewrite.
+    with pytest.raises(DegenerateStateError):
+        entropy_objective(PureState(2, {(2, 0): 0.0}), part)
     # A rank-one point reads exactly +0.0.
     at_identity = entropy_objective(parse_state("|20>"), part)(np.zeros(4))
     assert at_identity == 0.0 and math.copysign(1.0, at_identity) == 1.0
@@ -419,6 +424,22 @@ def test_optimize_result_reverifies_and_sandwiches():
         ).entropy_bits
         assert redone == pytest.approx(result.best_entropy_bits, abs=1e-9)
         assert result.best_spectrum.entropy_bits == redone
+
+
+def test_optimize_raises_when_its_value_fails_either_guard(monkeypatch):
+    # Neither guard fires on a working objective, so break what each reads.
+    part = Partition((0,), (1,))
+    cfg = OptConfig("min", restarts=1)
+    monkeypatch.setattr(
+        "fockmodes.optimize.schmidt_spectrum",
+        lambda state, cut: dataclasses.replace(schmidt_spectrum(state, cut), entropy_bits=-1.0),
+    )
+    with pytest.raises(NumericalConsistencyError, match="re-evaluated"):
+        optimize_entanglement(two_photon_pair(), part, cfg)
+    monkeypatch.setattr("fockmodes.optimize.entropy_objective",
+                        lambda state, cut: lambda theta: -1.0)
+    with pytest.raises(NumericalConsistencyError, match="past the input's entropy"):
+        optimize_entanglement(two_photon_pair(), part, cfg)
 
 
 def test_optimize_deterministic_per_restart_values():

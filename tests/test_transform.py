@@ -22,7 +22,6 @@ from fockmodes import (
     parse_state,
     permanent,
     sector_weights,
-    validate_unitary,
 )
 from fockmodes.suite import (
     balanced_mixer,
@@ -44,30 +43,32 @@ def permanent_by_definition(matrix):
     )
 
 
-# --- validate_unitary ---------------------------------------------------
+# --- ModeUnitary --------------------------------------------------------
 
 
-def test_validate_unitary_accepts_identity_and_balanced_mix():
-    validate_unitary(np.eye(3), tol=1e-10)
-    validate_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2), tol=1e-10)
+def test_mode_unitary_accepts_identity_and_balanced_mix():
+    ModeUnitary(np.eye(3))
+    ModeUnitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def test_validate_unitary_rejects_rank_deficient():
+def test_mode_unitary_rejects_rank_deficient():
     with pytest.raises(NotUnitaryError) as err:
-        validate_unitary(np.array([[1, 1], [1, 1]]) / np.sqrt(2))
+        ModeUnitary(np.array([[1, 1], [1, 1]]) / np.sqrt(2))
     assert err.value.residual is not None and err.value.residual > 1e-3
 
 
-def test_validate_unitary_rejects_non_square():
+def test_mode_unitary_rejects_non_square():
     with pytest.raises(DimensionError):
-        validate_unitary(np.ones((2, 3)))
+        ModeUnitary(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        ModeUnitary(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "build",
-    [lambda bad: validate_unitary([[bad, 0], [0, 1]]),
-     lambda bad: validate_unitary([[1, 0], [0, complex(0.0, bad)]]),
+    [lambda bad: ModeUnitary([[bad, 0], [0, 1]]),
+     lambda bad: ModeUnitary([[1, 0], [0, complex(0.0, bad)]]),
      lambda bad: beam_splitter(2, 0, 1, bad),
      lambda bad: beam_splitter(2, 0, 1, 0.3, phi=bad)],
     ids=["real-entry", "imag-entry", "theta", "phi"],
@@ -89,13 +90,17 @@ def test_overflowing_unitary_input_raises_not_unitary_and_nothing_else(entries):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotUnitaryError):
-            validate_unitary(entries)
+            ModeUnitary(entries)
 
 
 def test_mode_unitary_compose_and_adjoint():
     bal = balanced_mixer()
     prod = bal @ bal.adjoint()
     np.testing.assert_allclose(prod.matrix, np.eye(2), atol=1e-14)
+    with pytest.raises(DimensionError):
+        ModeUnitary.identity(2) @ ModeUnitary.identity(3)
+    with pytest.raises(TypeError):
+        ModeUnitary.identity(2) @ 1
 
 
 # --- apply_redefinition -------------------------------------------------
@@ -183,6 +188,8 @@ def test_permanent_matches_definition(rng):
 def test_permanent_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         permanent(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        permanent(np.zeros((0, 0)))
     with pytest.raises(SizeLimitError):
         permanent(np.eye(17))
 
@@ -465,6 +472,18 @@ def test_matrix_element_dimension_mismatch():
         fock_matrix_element(balanced_mixer(), (1, 0, 0), (0, 0, 1))
 
 
+def test_matrix_element_checks_occupations_as_pure_state_does():
+    # Each occupation goes through the one check PureState uses.
+    mixer = balanced_mixer()
+    with pytest.raises(DimensionError):
+        fock_matrix_element(mixer, (1, 0), (1,))
+    for bad in ((-1, 1), (1.0, 0), ("1", 0)):
+        with pytest.raises(ValueError):
+            fock_matrix_element(mixer, bad, (0, 0))
+        with pytest.raises(ValueError):
+            fock_matrix_element(mixer, (0, 0), bad)
+
+
 # --- exp_map ------------------------------------------------------------
 
 
@@ -489,7 +508,9 @@ def test_exp_map_always_unitary(rng):
     for _ in range(200):
         dim = int(rng.integers(1, 6))
         theta = rng.uniform(-np.pi, np.pi, dim * dim)
-        unitary = exp_map(theta)  # construction validates at 1e-12
+        # Construction holds every ModeUnitary to UNITARY_TOLERANCE (1e-10);
+        # exp_map's matrices meet the tighter bound asserted here.
+        unitary = exp_map(theta)
         residual = np.abs(
             unitary.matrix.conj().T @ unitary.matrix - np.eye(dim)
         ).max()

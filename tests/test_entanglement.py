@@ -190,46 +190,57 @@ def test_schmidt_side_symmetry(rng):
         assert all(v <= 1e-12 for v in lam_b[size:])
 
 
-# Fixed shapes beside the random one: unsorted sides, a vacuum sector, a
-# single sector and five modes.
-_FIXED_CUTS = [
-    (2, (1, 2), Partition((0,), (1,))),
-    (3, (2,), Partition((1,), (2, 0))),
-    (4, (0, 2, 3), Partition((2, 0), (1, 3))),
-    (4, (3,), Partition((3, 1, 2), (0,))),
-    (5, (1, 2), Partition((4, 0), (3, 1, 2))),
-]
+def assert_spectrum_matches_canonical_matrix(rng, mode_count, totals, part):
+    # schmidt_spectrum ranks rows and columns by first appearance in the
+    # dict; its spectrum must be that of the canonical matrix, in any order.
+    full = random_state(rng, mode_count, totals)
+    # Drop some occupations so rows and columns are a strict subset.
+    items = [item for item in full.amplitudes.items() if rng.random() < 0.7] or [
+        next(iter(full.amplitudes.items()))
+    ]
+    state = normalize(PureState(mode_count, dict(items)))
+    expected = np.linalg.svd(canonical_matrix(state, part), compute_uv=False) ** 2
+    shuffled = PureState(
+        mode_count,
+        dict(list(state.amplitudes.items())[i] for i in rng.permutation(len(state))),
+    )
+    for ordered in (state, shuffled):
+        spectrum = schmidt_spectrum(ordered, part)
+        np.testing.assert_allclose(spectrum.lambdas, expected, rtol=0, atol=1e-12)
+        assert spectrum.entropy_bits == pytest.approx(
+            entropy_of_spectrum(np.minimum(expected, 1.0)), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "mode_count, totals, partition",
+    [
+        (2, (1, 2), Partition((0,), (1,))),
+        (3, (2,), Partition((1,), (2, 0))),
+        (4, (0, 2, 3), Partition((2, 0), (1, 3))),
+        (4, (3,), Partition((3, 1, 2), (0,))),
+        (5, (1, 2), Partition((4, 0), (3, 1, 2))),
+    ],
+)
+def test_coefficient_matrix_matches_per_occupation_restriction(
+    rng, mode_count, totals, partition
+):
+    # Fixed shapes beside the random one: unsorted sides, a vacuum sector, a
+    # single sector and five modes.
+    for _ in range(5):
+        assert_spectrum_matches_canonical_matrix(rng, mode_count, totals, partition)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_spectrum_matches_the_canonical_matrix_in_any_dict_order(seed):
-    # schmidt_spectrum ranks rows and columns by first appearance in the
-    # dict; its spectrum must be that of the canonical matrix, in any order.
     rng = np.random.default_rng(seed)
     mode_count = int(rng.integers(2, 5))
     totals = tuple(sorted(rng.choice(4, size=int(rng.integers(2, 4)), replace=False)))
     modes = [int(i) for i in rng.permutation(mode_count)]
     split = int(rng.integers(1, mode_count))
-    drawn = (mode_count, totals, Partition(tuple(modes[:split]), tuple(modes[split:])))
-    for mode_count, totals, part in [drawn, *_FIXED_CUTS]:
-        full = random_state(rng, mode_count, totals)
-        # Drop some occupations so rows and columns are a strict subset.
-        items = [item for item in full.amplitudes.items() if rng.random() < 0.7] or [
-            next(iter(full.amplitudes.items()))
-        ]
-        state = normalize(PureState(mode_count, dict(items)))
-        expected = np.linalg.svd(canonical_matrix(state, part), compute_uv=False) ** 2
-        shuffled = PureState(
-            mode_count,
-            dict(list(state.amplitudes.items())[i] for i in rng.permutation(len(state))),
-        )
-        for ordered in (state, shuffled):
-            spectrum = schmidt_spectrum(ordered, part)
-            np.testing.assert_allclose(spectrum.lambdas, expected, rtol=0, atol=1e-12)
-            assert spectrum.entropy_bits == pytest.approx(
-                entropy_of_spectrum(np.minimum(expected, 1.0)), abs=1e-12
-            )
+    part = Partition(tuple(modes[:split]), tuple(modes[split:]))
+    assert_spectrum_matches_canonical_matrix(rng, mode_count, totals, part)
 
 
 def test_entropy_invariant_under_block_unitaries(rng):

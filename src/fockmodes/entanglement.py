@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, PartitionError
-from .fock import NORM_TOLERANCE, Occupation, PureState, require_normalized, sector_dimension
+from .fock import NORM_TOLERANCE, PureState, require_normalized, sector_dimension
 
 # lambdas above this count toward the numerical Schmidt rank; sits between
 # double-precision noise and the smallest meaningful eigenvalue in practice.
@@ -87,13 +87,11 @@ class SchmidtSpectrum:
     numerical_rank: int
 
 
-def _restrictions(state: PureState, side: tuple[int, ...]) -> list[Occupation]:
-    """Each occupation of the state, in dict order, restricted to `side`."""
-    pick = operator.itemgetter(*side)
-    if len(side) == 1:
-        # itemgetter of one index returns the count, not a 1-tuple.
-        return [(count,) for count in map(pick, state.amplitudes)]
-    return list(map(pick, state.amplitudes))
+def _restrictions(state: PureState, side: tuple[int, ...]) -> list:
+    """Each occupation of the state, in dict order, restricted to `side`:
+    a tuple of counts, or the bare count for a side of one mode.  Only the
+    distinct values and their order of appearance matter."""
+    return list(map(operator.itemgetter(*side), state.amplitudes))
 
 
 def _require_unit_sum(lambdas: np.ndarray, norm: float) -> None:
@@ -143,7 +141,10 @@ def schmidt_spectrum(state: PureState, partition: Partition) -> SchmidtSpectrum:
         np.fromiter(map(col_index.__getitem__, col_of), np.intp, count),
     ] = np.fromiter(state.amplitudes.values(), complex, count)
     # Descending, as the SVD returns them.  Squares are never negative; only
-    # rounding, or a norm a hair above 1, can lift one above 1.
+    # rounding, or a norm a hair above 1, can lift one above 1.  LAPACK
+    # takes the SVD of a matrix with no fewer rows than columns faster.
+    if matrix.shape[0] < matrix.shape[1]:
+        matrix = matrix.T
     squares = np.linalg.svd(matrix, compute_uv=False) ** 2
     _require_unit_sum(squares, norm)
     lambdas = np.minimum(squares, 1.0)

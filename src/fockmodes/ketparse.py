@@ -23,7 +23,7 @@ import json
 import math
 import re
 from itertools import chain
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -256,48 +256,60 @@ def format_state(state: PureState, precision: int = 7) -> str:
 
     The global phase is canonicalized so the leading amplitude is real and
     positive.  The amplitudes are sorted by occupation once, which takes
-    linear time on the canonical order ``apply_redefinition`` emits, and
-    each is multiplied once by the lead's phase factor, without a
-    canonicalized copy of the state; a product below PRUNE_THRESHOLD is
-    left out, as `canonicalize_phase` would drop it, and the kets take the
-    comma form when a count kept exceeds 9.  The kept terms then fill one
-    joined template, whose kets are %d fields, with one %-format.  The
+    linear time on the canonical order ``apply_redefinition`` emits, and one
+    loop multiplies each by the lead's phase factor, without a
+    canonicalized copy of the state, and picks its piece of the template.
+    A term whose coefficient would print as zero, both parts under half a
+    unit of the last digit, is left out, and so is one below
+    PRUNE_THRESHOLD, as `canonicalize_phase` would drop it.  The kets take
+    the comma form when a count printed exceeds 9; then the kept terms fill
+    one joined template, whose kets are %d fields, with one %-format.  The
     output parses back to the same state within 10^(1-precision) per
-    amplitude.
+    amplitude.  A state none of whose terms prints at `precision` prints
+    its largest term alone, with a zero coefficient.
     """
     require_normalized(state)
     items = sorted(state.amplitudes.items(), reverse=True)
     factor = _lead_phase_factor(items[0][1])
-    terms = [
-        (occ, turned)
-        for occ, amp in items
-        if abs(turned := amp * factor) >= PRUNE_THRESHOLD
-    ]
-    # Counts above 9 need the comma form of a ket.  A dropped term may hold
-    # the only such count, so the form is read off the kept terms.
-    counts = chain.from_iterable(map(itemgetter(0), terms))
-    ket = "|" + ("," if max(counts) > 9 else "").join(["%d"] * state.mode_count) + ">"
     eps = 0.5 * 10.0 ** (-precision)
-    real_term = f" %s %.{precision}f*{ket}"
-    unit_term = f" %s {ket}"
-    complex_term = f" + (%.{precision}f%+.{precision}fi)*{ket}"
-
+    # Up to 14 digits a term that prints has a modulus of at least eps,
+    # above PRUNE_THRESHOLD.
+    prune = eps < PRUNE_THRESHOLD
+    real_term = f" %s %.{precision}f*"
+    complex_term = f" + (%.{precision}f%+.{precision}fi)*"
     pieces: list[str] = []
     fields: list = []
-    for occ, amp in terms:
-        sign = "+" if amp.real >= 0 else "-"
+    occs: list[Occupation] = []
+    for occ, amp in items:
+        amp *= factor
+        if prune and abs(amp) < PRUNE_THRESHOLD:
+            continue
         if abs(amp.imag) >= eps:
-            pieces.append(complex_term)
+            piece = complex_term
             fields += amp.real, amp.imag
+        elif abs(amp.real) < eps:
+            continue
         elif abs(abs(amp.real) - 1.0) < eps:
-            pieces.append(unit_term)
-            fields.append(sign)
+            piece = " %s "
+            fields.append("+" if amp.real >= 0 else "-")
         else:
-            pieces.append(real_term)
-            fields += sign, abs(amp.real)
+            piece = real_term
+            fields += "+" if amp.real >= 0 else "-", abs(amp.real)
+        pieces.append(piece)
         fields += occ
+        occs.append(occ)
+    if not occs:
+        # No coefficient reaches the last digit: the largest term stands alone.
+        occ = max(items, key=lambda item: abs(item[1]))[0]
+        pieces.append(real_term)
+        fields += "+", 0.0, *occ
+        occs.append(occ)
+    # Only a term of more than 9 photons can hold a count above 9, which
+    # needs the comma form of a ket.
+    wide = max(map(sum, occs)) > 9 and max(chain.from_iterable(occs)) > 9
+    ket = "|" + ("," if wide else "").join(["%d"] * state.mode_count) + ">"
     # Every term opens with " + " or " - "; the first keeps only a minus.
-    text = "".join(pieces) % tuple(fields)
+    text = (ket.join(pieces) + ket) % tuple(fields)
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 

@@ -69,11 +69,21 @@ def test_transform_takes_a_unitary_file_written_to_ten_digits(tmp_path, capsys):
     assert (code, captured.err) == (0, "")
     assert "|10>" in captured.out and "|01>" in captured.out
     # Sixty photons move the rewrite's norm by 1.1e-9, past NORM_TOLERANCE;
-    # transform prints the normalized rewrite.
+    # transform prints the normalized rewrite.  Its amplitudes are
+    # sqrt(C(60, k)) / 2^30, under 5e-8 for k < 3 or k > 57: those six terms
+    # would print as zero at 7 digits and are left out.
     code = run_cli(["transform", "|60,0>", "--unitary", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    assert "|60,0>" in captured.out and "|0,60>" in captured.out
+    terms = captured.out.strip().split(" + ")
+    assert len(terms) == 55
+    assert terms[0].endswith("*|57,3>") and terms[-1].endswith("*|3,57>")
+    assert not any(float(term.split("*")[0]) == 0.0 for term in terms)
+    # Every amplitude, printed or left out, parses back within 10^-6.
+    printed = parse_state(captured.out)
+    for k in range(61):
+        amplitude = printed.amplitudes.get((60 - k, k), 0j)
+        assert abs(amplitude - math.sqrt(math.comb(60, k)) / 2.0**30) < 1e-6
 
 
 def test_transform_refuses_a_unitary_file_written_to_eight_digits(tmp_path, capsys):

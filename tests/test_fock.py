@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fockmodes import (
     DegenerateStateError,
     DimensionError,
+    ModeUnitary,
     PureState,
     apply_redefinition,
     basis_state,
@@ -188,3 +189,24 @@ def test_hong_ou_mandel_rewrite_prunes_the_coincidence():
         parse_state("|11>"), beam_splitter(2, 0, 1, math.pi / 4)
     )
     assert set(rewritten.amplitudes) == {(2, 0), (0, 2)}
+
+
+def test_every_state_norm_is_hypot_of_its_moduli(rng):
+    # One state from each way the library builds one, and a rewrite of an
+    # amplitude whose square overflows a float: its norm is still hypot's.
+    raw = random_state(rng, 3, totals=(0, 2))
+    scaled = PureState(3, {occ: 3.0 * amp for occ, amp in raw.amplitudes.items()})
+    states = {
+        "constructor": scaled,
+        "_of_checked": PureState._of_checked(3, scaled.amplitudes, scaled.amplitudes.values()),
+        "normalize": normalize(scaled),
+        "canonicalize_phase": canonicalize_phase(scaled),
+        "parse_state": parse_state("|0,1,1> + 0.5i*|2,0,0> - |0,0,1>"),
+        "apply_redefinition": apply_redefinition(raw, random_unitary(rng, 3)),
+        "apply_redefinition 1e200": apply_redefinition(
+            PureState(1, {(1,): 1e200}), ModeUnitary.identity(1)
+        ),
+    }
+    assert states["apply_redefinition 1e200"].norm() == 1e200
+    for name, state in states.items():
+        assert state.norm() == math.hypot(*map(abs, state.amplitudes.values())), name

@@ -361,6 +361,22 @@ def test_format_exact_strings(text, precision, rendered):
     assert format_state(parse_state(text), precision=precision) == rendered
 
 
+def test_format_leaves_out_terms_that_print_as_zero():
+    # 0.004 prints as zero at two digits and 0.04 at one; the ket form
+    # follows the printed terms, so without |0,10> it is the digit form.
+    state = PureState(2, {(1, 1): 0.999, (2, 0): 0.04, (0, 10): 0.004})
+    state = PureState(2, {occ: amp / state.norm() for occ, amp in state.amplitudes.items()})
+    assert format_state(state, precision=3) == "0.040*|2,0> + 0.999*|1,1> + 0.004*|0,10>"
+    assert format_state(state, precision=2) == "0.04*|20> + |11>"
+    assert format_state(state, precision=1) == "|11>"
+    # 500 terms of 0.045 each: none prints at one digit, and the largest,
+    # here the first of equals, stands alone.
+    flat = PureState(500, {tuple(int(k == i) for k in range(500)): 500**-0.5
+                           for i in range(500)})
+    assert format_state(flat, precision=1) == "0.0*|1" + "0" * 499 + ">"
+    assert format_state(flat, precision=2).count("*|") == 500
+
+
 def test_format_round_trip_on_random_states(rng):
     for _ in range(100):
         mode_count = int(rng.integers(1, 5))
@@ -384,11 +400,14 @@ def test_format_round_trip_uniform_triple():
 
 def reference_format(state, precision=7):
     """Term-by-term renderer of a phase-canonicalized copy, kept as the oracle
-    for `format_state`."""
+    for `format_state`.  A term whose parts both round to zero is left out."""
     canon = canonicalize_phase(state)
     eps = 0.5 * 10.0 ** (-precision)
     spec = f".{precision}f"
-    support = canon.support()
+    support = [
+        occ for occ in canon.support()
+        if max(abs(canon.amplitudes[occ].real), abs(canon.amplitudes[occ].imag)) >= eps
+    ]
     separator = "," if max(map(max, support)) > 9 else ""
     pieces = []
     for occ in support:

@@ -1,10 +1,13 @@
 """Smoke test of tools/layers.py, the in-process per-part timer of the
-``rewrite`` and ``objective`` benchmark workloads."""
+``rewrite`` and ``objective`` benchmark workloads, and a canned-run test of
+tools/pairs.py, the alternating runner of two checkouts."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,66 @@ def test_layers_tool_names_every_part_of_both_workloads():
             assert lines[-1]["b_over_a"].keys() == BENCH_KEYS
         else:
             assert ratios == []
+
+
+def test_pairs_tool_alternates_and_summarizes_canned_runs(tmp_path, monkeypatch, capsys):
+    # Canned results stand in for bench/run.py: on `rewrite` the change
+    # reads 2 % more throughput in every pair but the third; nothing fails.
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    calls = []
+
+    def canned(checkout, command):
+        side, workload = checkout.name, command[command.index("--workload") + 1]
+        pair = sum(call == (side, workload) for call, _ in calls) + 1
+        calls.append(((side, workload), command))
+        gain = 1.02 if (side, workload) == ("change", "rewrite") and pair != 3 else 1.0
+        value = {"throughput_per_s": (100.0 + pair) * gain}
+        metrics = {name: {"value": value.get(name, 1.0), "unit": ""}
+                   for name in ("setup_s", "throughput_per_s", "latency_p50_ms",
+                                "latency_tail_ms", "rss_peak_mb")}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_bench", canned)
+    out = tmp_path / "BENCH_0.json"
+    assert pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                       str(tmp_path / "change"), "--workload", "rewrite", "--workload",
+                       "objective", "--seed", "3", "--pairs", "4", "--seconds", "2",
+                       "--out", str(out)]) == 0
+    order = ["parent", "change", "change", "parent"] * 2
+    assert [call for call, _ in calls] == (
+        [(side, "rewrite") for side in order] + [(side, "objective") for side in order]
+    )
+    assert calls[0][1][-8:] == ["--workload", "rewrite", "--seed", "3", "--seconds", "2",
+                                "--trace", "0"]
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["workload"] for line in lines] == ["rewrite"] * 6 + ["objective"] * 6
+    by_metric = {(line["workload"], line.get("metric")): line for line in lines}
+    throughput = by_metric["rewrite", "throughput_per_s"]
+    assert (throughput["wins"], throughput["pairs"]) == (3, 4)
+    assert throughput["parent"]["median"] == 102.5
+    assert throughput["beyond_parent_spread"] is False
+    # Equal values are ties: no wins either way, and no difference.
+    assert by_metric["objective", "throughput_per_s"]["wins"] == 0
+    assert by_metric["rewrite", "latency_p50_ms"]["change_over_parent"] == 1.0
+    assert by_metric["objective", None] == {
+        "workload": "objective", "parent": {"failed": 0, "attempted": 40},
+        "change": {"failed": 0, "attempted": 40},
+    }
+    written = json.loads(out.read_text())
+    assert written["summary"] == lines
+    assert [(run["pair"], run["side"], run["first"]) for run in written["runs"][:4]] == [
+        (1, "parent", "parent"), (1, "change", "parent"),
+        (2, "change", "change"), (2, "parent", "change"),
+    ]
+    assert (written["pairs"], written["runs"][-1]["workload"]) == (4, "objective")
+    # A run that reports wrong answers stops the tool before any summary.
+    monkeypatch.setattr(pairs, "run_bench", lambda checkout, command: {
+        **canned(checkout, command), "correct": False})
+    with pytest.raises(SystemExit, match="rewrite pair 1 parent gave wrong answers"):
+        pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                    "--workload", "rewrite", "--seed", "3", "--out", str(tmp_path / "x.json")])
+    assert capsys.readouterr().out == "" and not (tmp_path / "x.json").exists()

@@ -366,6 +366,32 @@ def test_batches_share_one_gather_table_per_rung(monkeypatch):
         assert rewritten[occ] == pytest.approx(amp, abs=1e-14)
 
 
+def test_batches_of_one_sector_match_the_oracle(monkeypatch, rng):
+    # Three states of one sector, 3 photons in 5 modes, with 1, 3 and 2
+    # terms: one batch each.  Then batches of two terms: the 3-term state
+    # climbs as 2 + 1, a short last batch, and the 2-term one as one batch.
+    from fockmodes import transform
+
+    unitary = random_unitary(rng, 5)
+    sector = enumerate_sector(5, 3)
+    states = [
+        PureState(5, {occ: complex(rng.normal(), rng.normal()) for occ in sector[first:last]})
+        for first, last in ((0, 1), (3, 6), (10, 12))
+    ]
+    outputs = [apply_redefinition(state, unitary) for state in states]
+    top = transform._ladder(5).rungs(3)[2][0].size
+    monkeypatch.setattr(transform, "_BATCH_CELLS", 2 * 3 * top)
+    for state, whole in zip(states, outputs):
+        assert states_close(apply_redefinition(state, unitary), whole, 1e-14)
+    for state, out in zip(states, outputs):
+        for occ in list(out.amplitudes)[::7]:
+            expected = sum(
+                amp * fock_matrix_element(unitary, occ, term)
+                for term, amp in state.amplitudes.items()
+            )
+            assert out.amplitudes[occ] == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "mode_count, totals, side",
     [(3, (2,), (0, 1, 2)), (4, (0, 2, 3), (3, 1)), (5, (1, 4), (0, 2, 4)), (3, (0,), (1,))],

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 from .entanglement import Partition, rank_bound, schmidt_spectrum
 from .errors import (
@@ -50,40 +50,30 @@ _EXIT_CODES = (
 _HANDLED = tuple(error for types, _ in _EXIT_CODES for error in types)
 
 
-@dataclass
-class Report:
-    """Single record behind both the table and the JSON rendering."""
+# The keys of an entropy, optimize or rank-bound report, in output order.
+_REPORT_KEYS = (
+    "input", "partition", "lambdas", "entropy_bits", "rank", "rank_bound",
+    "direction", "best", "restart_values", "seed", "wall_ms",
+)
 
-    input: str
-    partition: str | None = None
-    lambdas: list[float] | None = None
-    entropy_bits: float | None = None
-    rank: int | None = None
-    rank_bound: int | None = None
-    direction: str | None = None
-    best: float | None = None
-    restart_values: list[float] | None = None
-    seed: int | None = None
-    wall_ms: float | None = None
 
-    def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps({k: v for k, v in doc.items() if v is not None})
-
-    def to_table(self) -> str:
-        lines = []
-        for field in fields(self):
-            key, value = field.name, getattr(self, field.name)
-            if value is None:
-                continue
-            if key == "lambdas" or key == "restart_values":
-                text = ", ".join(f"{v:.6f}" for v in value)
-            elif isinstance(value, float):
-                text = f"{value:.6f}"
-            else:
-                text = str(value)
-            lines.append(f"{key:<14} {text}")
-        return "\n".join(lines)
+def _render(report: dict, as_json: bool) -> None:
+    """Print the keys of `report` in ``_REPORT_KEYS`` order as one JSON
+    object, or as a table with floats to six decimals."""
+    present = {key: report[key] for key in _REPORT_KEYS if key in report}
+    if as_json:
+        print(json.dumps(present))
+        return
+    lines = []
+    for key, value in present.items():
+        if isinstance(value, list):
+            text = ", ".join(f"{v:.6f}" for v in value)
+        elif isinstance(value, float):
+            text = f"{value:.6f}"
+        else:
+            text = str(value)
+        lines.append(f"{key:<14} {text}")
+    print("\n".join(lines))
 
 
 def _printable_rank_bound(state, partition: Partition) -> int:
@@ -114,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("state", help="ket expression, e.g. \"|01>+|10>\"")
     entropy.add_argument("--partition", required=True, help="e.g. 0,1|2,3")
     entropy.add_argument("--json", action="store_true")
+    entropy.set_defaults(handler=_cmd_entropy)
 
     transform = sub.add_parser("transform", help="rewrite a state under a unitary")
     transform.add_argument("state")
     transform.add_argument("--unitary", required=True, help="path to a unitary JSON file")
     transform.add_argument("--json", action="store_true")
+    transform.set_defaults(handler=_cmd_transform)
 
     optimize = sub.add_parser("optimize", help="extremize entropy over mode redefinitions")
     optimize.add_argument("state")
@@ -127,37 +119,39 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--restarts", type=int, default=24)
     optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--json", action="store_true")
+    optimize.set_defaults(handler=_cmd_optimize)
 
     bound = sub.add_parser("rank-bound", help="Schmidt rank bound across a partition")
     bound.add_argument("state")
     bound.add_argument("--partition", required=True)
     bound.add_argument("--json", action="store_true")
+    bound.set_defaults(handler=_cmd_rank_bound)
 
     suite = sub.add_parser(
         "paper-suite", help="run the built-in reproduction table of reference values"
     )
     suite.add_argument("--json", action="store_true")
     suite.add_argument("--seed", type=int, default=0)
+    suite.set_defaults(handler=_cmd_suite)
 
     return parser
 
 
 def _report(args, measure) -> int:
-    """Parse the state and the cut, fill a Report with the fields that
+    """Parse the state and the cut, report the keys that
     `measure(state, partition)` returns, the rank bound and the wall time,
-    and print it as a table or as JSON."""
+    and print them as a table or as JSON."""
     start = time.perf_counter()
     state = parse_state(args.state)
     partition = Partition.from_string(args.partition)
-    measured = measure(state, partition)
-    report = Report(
-        input=args.state,
-        partition=str(partition),
-        rank_bound=_printable_rank_bound(state, partition),
-        **measured,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-    )
-    print(report.to_json() if args.json else report.to_table())
+    report = {
+        "input": args.state,
+        "partition": str(partition),
+        **measure(state, partition),
+        "rank_bound": _printable_rank_bound(state, partition),
+    }
+    report["wall_ms"] = (time.perf_counter() - start) * 1000.0
+    _render(report, args.json)
     return 0
 
 
@@ -230,15 +224,6 @@ def _cmd_suite(args) -> int:
     return 0 if all_pass else 1
 
 
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "transform": _cmd_transform,
-    "optimize": _cmd_optimize,
-    "rank-bound": _cmd_rank_bound,
-    "paper-suite": _cmd_suite,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser; parsing leaves it unchanged, so calls share it."""
@@ -251,7 +236,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

@@ -8,7 +8,7 @@ IEEE Trans. Signal Process. 56(3), 2008): a step s of 2|A||B| real
 coordinates takes U to exp(iP(s)) U, where P(s) = [[0, Z], [Z^H, 0]]
 couples the sides through the complex |A| x |B| block Z with the real and
 imaginary parts s, and the gradient in these coordinates is exact
-(``_coset_search``, the one build of the objective).  Restart 0 starts at
+(``_coset_search``, the objective's one implementation).  Restart 0 starts at
 the identity and restarts 1.. at exp_map of seeded uniform points in
 [-pi, pi]^{M^2}.  Every accepted step descends, so the input state's own
 entropy is a structural lower (upper) bound on the reported maximum
@@ -373,7 +373,10 @@ def optimize_entanglement(
     (``_coset_search``).  Results are deterministic for a fixed (seed,
     restarts) and independent of restart execution order (ties break
     toward the lowest restart index).  The input's entropy, read by
-    ``entropy_objective`` at theta = 0, bounds the result; the winner is
+    ``entropy_objective`` at theta = 0, bounds the result.  That read builds
+    the objective with ``_coset_search``, and the search builds it again,
+    signed by the direction, so each call builds it twice; the benchmark's
+    trace counts the theta entry in every optimize query.  The winner is
     rewritten with ``apply_redefinition`` and rechecked by
     ``schmidt_spectrum``.  A partition that does not cover the state's modes
     raises PartitionError, and a cut of more than _MAX_COORDINATES

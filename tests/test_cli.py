@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import time
 
@@ -49,6 +50,67 @@ def test_entropy_json_matches_library(capsys):
         "input", "partition", "lambdas", "entropy_bits", "rank",
         "rank_bound", "wall_ms",
     }
+
+
+REPORT_QUERIES = {
+    "entropy": ["entropy", "|01>+|10>", "--partition", "0|1"],
+    "optimize": ["optimize", "|20>+|02>", "--partition", "0|1", "--direction", "max",
+                 "--restarts", "3"],
+    "rank-bound": ["rank-bound", "|20>+|02>", "--partition", "0|1"],
+}
+# The reports' bytes with the wall time masked: the key order, the table's
+# six decimals and column width, and the keys each command leaves out.
+REPORT_BYTES = {
+    ("entropy", "table"): """\
+input          |01>+|10>
+partition      0|1
+lambdas        0.500000, 0.500000
+entropy_bits   1.000000
+rank           2
+rank_bound     2
+wall_ms        *
+""",
+    ("optimize", "table"): """\
+input          |20>+|02>
+partition      0|1
+lambdas        0.333333, 0.333333, 0.333333
+entropy_bits   1.584963
+rank           3
+rank_bound     3
+direction      max
+best           1.584963
+restart_values 1.000000, 1.584963, 1.584963
+seed           0
+wall_ms        *
+""",
+    ("rank-bound", "table"): """\
+input          |20>+|02>
+partition      0|1
+rank_bound     3
+wall_ms        *
+""",
+    ("entropy", "json"): '{"input": "|01>+|10>", "partition": "0|1", "lambdas": '
+    '[0.4999999999999999, 0.4999999999999999], "entropy_bits": 1.0, "rank": 2, '
+    '"rank_bound": 2, "wall_ms": *}\n',
+    ("optimize", "json"): '{"input": "|20>+|02>", "partition": "0|1", "lambdas": '
+    '[0.33333333333431503, 0.3333333333328409, 0.3333333333328404], '
+    '"entropy_bits": 1.5849625007211556, "rank": 3, "rank_bound": 3, '
+    '"direction": "max", "best": 1.5849625007211556, "restart_values": '
+    '[1.0, 1.5849625007211556, 1.5849625007211552], "seed": 0, "wall_ms": *}\n',
+    ("rank-bound", "json"): '{"input": "|20>+|02>", "partition": "0|1", '
+    '"rank_bound": 3, "wall_ms": *}\n',
+}
+
+
+@pytest.mark.parametrize("form", ["table", "json"])
+@pytest.mark.parametrize("command", list(REPORT_QUERIES))
+def test_report_bytes_are_pinned(command, form, capsys):
+    argv = REPORT_QUERIES[command] + (["--json"] if form == "json" else [])
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    masked = re.sub(r'(wall_ms(?:": | +))[0-9.e+-]+', r"\1*", captured.out)
+    assert masked == REPORT_BYTES[command, form]
 
 
 def test_transform_command(capsys, circular_file):

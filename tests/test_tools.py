@@ -92,6 +92,10 @@ def test_pairs_tool_alternates_and_summarizes_canned_runs(tmp_path, monkeypatch,
     assert (throughput["wins"], throughput["pairs"]) == (3, 4)
     assert throughput["parent"]["median"] == 102.5
     assert throughput["beyond_parent_spread"] is False
+    # Per pair the change reads 1.02, 1.02, 1.0 and 1.02 of the parent.
+    assert throughput["pair_ratio"] == {"median": 1.02, "q1": 1.005, "q3": 1.02}
+    assert by_metric["objective", "throughput_per_s"]["pair_ratio"] == {
+        "median": 1.0, "q1": 1.0, "q3": 1.0}
     # Equal values are ties: no wins either way, and no difference.
     assert by_metric["objective", "throughput_per_s"]["wins"] == 0
     assert by_metric["rewrite", "latency_p50_ms"]["change_over_parent"] == 1.0

@@ -41,6 +41,10 @@ line then names its tree, A for ``--src`` and B for ``--against``, and
 lines of B/A follow: per part and for the total, the median and quartiles
 of the per-pass ratios, then the ratio of each bench metric.  An A/A run,
 ``--against`` the ``--src`` tree, shows the spread to read them against.
+A part whose code did not change can still read up to about 1.02 B/A
+from order or cache effects (``parse_state`` read 1.014-1.023 where its
+A/A read 0.994), so one run's "within 2 %" on such a part is noise, not a
+gate.
 """
 
 from __future__ import annotations

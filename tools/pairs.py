@@ -14,11 +14,15 @@ or reports wrong answers (``correct`` false) stops the tool.
 
 For each workload and end-to-end metric of BENCHMARK.json it prints one
 JSON line: both sides' median and quartiles (``statistics.quantiles(values, n=4)``), the
-ratio of the medians, the pairs in which the change reads better than the
-parent (ties count for neither side), and ``beyond_parent_spread``, whether
-the medians differ by more than the distance between the parent's
-quartiles.  A last line per workload gives each side's failed and
-attempted operations.  The runs and that summary are written to ``--out``.
+ratio of the medians, the median and quartiles of the change/parent ratio
+within each pair (``pair_ratio``), the pairs in which the change reads
+better than the parent (ties count for neither side), and
+``beyond_parent_spread``, whether the medians differ by more than the
+distance between the parent's quartiles.  The host's speed drifts between
+runs more than within a pair, so the parent's own spread can hide a change
+that leads in most pairs; ``pair_ratio`` shows such a change.  A last line
+per workload gives each side's failed and attempted operations.  The runs
+and that summary are written to ``--out``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,12 @@ def summarize(runs: list[dict], metrics: list[dict], workload: str) -> list[dict
             line[side] = {"median": median, "q1": q1, "q3": q3}
         parent, change = line["parent"], line["change"]
         line["change_over_parent"] = round(change["median"] / parent["median"], 4)
+        q1, median, q3 = statistics.quantiles(
+            [value / values["parent"][pair] for pair, value in values["change"].items()],
+            n=4,
+        )
+        line["pair_ratio"] = {"median": round(median, 4), "q1": round(q1, 4),
+                              "q3": round(q3, 4)}
         line["wins"] = sum(
             (change_value > values["parent"][pair]) if higher
             else (change_value < values["parent"][pair])

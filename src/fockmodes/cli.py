@@ -50,7 +50,8 @@ _EXIT_CODES = (
 _HANDLED = tuple(error for types, _ in _EXIT_CODES for error in types)
 
 
-# The keys of an entropy, optimize or rank-bound report, in output order.
+# The keys of an entropy, optimize or rank-bound report, in output order;
+# only the table form has a `wall_ms`.
 _REPORT_KEYS = (
     "input", "partition", "lambdas", "entropy_bits", "rank", "rank_bound",
     "direction", "best", "restart_values", "seed", "wall_ms",
@@ -99,38 +100,35 @@ def build_parser() -> argparse.ArgumentParser:
         "for photonic number states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --json for all five subcommands; the state and the cut for the reports.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    query = argparse.ArgumentParser(add_help=False, parents=[output])
+    query.add_argument("state", help="ket expression, e.g. \"|01>+|10>\"")
+    query.add_argument("--partition", required=True, help="e.g. 0,1|2,3")
 
-    entropy = sub.add_parser("entropy", help="Schmidt spectrum and entropy")
-    entropy.add_argument("state", help="ket expression, e.g. \"|01>+|10>\"")
-    entropy.add_argument("--partition", required=True, help="e.g. 0,1|2,3")
-    entropy.add_argument("--json", action="store_true")
+    entropy = sub.add_parser("entropy", parents=[query], help="Schmidt spectrum and entropy")
     entropy.set_defaults(handler=_cmd_entropy)
 
-    transform = sub.add_parser("transform", help="rewrite a state under a unitary")
+    transform = sub.add_parser("transform", parents=[output],
+                               help="rewrite a state under a unitary")
     transform.add_argument("state")
     transform.add_argument("--unitary", required=True, help="path to a unitary JSON file")
-    transform.add_argument("--json", action="store_true")
     transform.set_defaults(handler=_cmd_transform)
 
-    optimize = sub.add_parser("optimize", help="extremize entropy over mode redefinitions")
-    optimize.add_argument("state")
-    optimize.add_argument("--partition", required=True)
+    optimize = sub.add_parser("optimize", parents=[query],
+                              help="extremize entropy over mode redefinitions")
     optimize.add_argument("--direction", required=True, choices=("min", "max"))
     optimize.add_argument("--restarts", type=int, default=24)
     optimize.add_argument("--seed", type=int, default=0)
-    optimize.add_argument("--json", action="store_true")
     optimize.set_defaults(handler=_cmd_optimize)
 
-    bound = sub.add_parser("rank-bound", help="Schmidt rank bound across a partition")
-    bound.add_argument("state")
-    bound.add_argument("--partition", required=True)
-    bound.add_argument("--json", action="store_true")
+    bound = sub.add_parser("rank-bound", parents=[query],
+                           help="Schmidt rank bound across a partition")
     bound.set_defaults(handler=_cmd_rank_bound)
 
-    suite = sub.add_parser(
-        "paper-suite", help="run the built-in reproduction table of reference values"
-    )
-    suite.add_argument("--json", action="store_true")
+    suite = sub.add_parser("paper-suite", parents=[output],
+                           help="run the built-in reproduction table of reference values")
     suite.add_argument("--seed", type=int, default=0)
     suite.set_defaults(handler=_cmd_suite)
 
@@ -139,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _report(args, measure) -> int:
     """Parse the state and the cut, report the keys that
-    `measure(state, partition)` returns, the rank bound and the wall time,
-    and print them as a table or as JSON."""
+    `measure(state, partition)` returns and the rank bound, and print them
+    as JSON or as a table that adds the wall time."""
     start = time.perf_counter()
     state = parse_state(args.state)
     partition = Partition.from_string(args.partition)
@@ -150,19 +148,24 @@ def _report(args, measure) -> int:
         **measure(state, partition),
         "rank_bound": _printable_rank_bound(state, partition),
     }
-    report["wall_ms"] = (time.perf_counter() - start) * 1000.0
+    # Only the table carries the clock, so --json prints the same bytes for
+    # the same query.
+    if not args.json:
+        report["wall_ms"] = (time.perf_counter() - start) * 1000.0
     _render(report, args.json)
     return 0
+
+
+def _spectrum_keys(spectrum, entropy_bits: float) -> dict:
+    """The lambdas, entropy and numerical rank of a report."""
+    return dict(lambdas=[float(v) for v in spectrum.lambdas], entropy_bits=entropy_bits,
+                rank=spectrum.numerical_rank)
 
 
 def _cmd_entropy(args) -> int:
     def measure(state, partition):
         spectrum = schmidt_spectrum(state, partition)
-        return dict(
-            lambdas=[float(v) for v in spectrum.lambdas],
-            entropy_bits=spectrum.entropy_bits,
-            rank=spectrum.numerical_rank,
-        )
+        return _spectrum_keys(spectrum, spectrum.entropy_bits)
 
     return _report(args, measure)
 
@@ -186,11 +189,8 @@ def _cmd_optimize(args) -> int:
     def measure(state, partition):
         cfg = OptConfig(direction=args.direction, restarts=args.restarts, seed=args.seed)
         result = optimize_entanglement(state, partition, cfg)
-        spectrum = result.best_spectrum
         return dict(
-            lambdas=[float(v) for v in spectrum.lambdas],
-            entropy_bits=result.best_entropy_bits,
-            rank=spectrum.numerical_rank,
+            **_spectrum_keys(result.best_spectrum, result.best_entropy_bits),
             direction=result.direction,
             best=result.best_entropy_bits,
             restart_values=list(result.per_restart_values),

@@ -3,6 +3,7 @@
 Criteria 1-12 are the rows of the built-in reproduction table (closed-form
 fixtures and deterministic optimizer runs at seed 0 with 24 restarts);
 criteria 13-17 are randomized property suites with at least 200 cases each.
+A grid scan of the 1|1 coset checks the optimizer rows 6 and 12 globally.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from fockmodes import (
     Partition,
     apply_redefinition,
     basis_state,
+    beam_splitter,
     canonicalize_phase,
     enumerate_sector,
     fock_matrix_element,
@@ -30,6 +32,7 @@ from fockmodes import (
     sector_weights,
 )
 from fockmodes.cli import run_cli
+from fockmodes.suite import two_photon_pair, vacuum_plus_pair
 
 from conftest import random_state, random_unitary, states_close
 
@@ -149,6 +152,42 @@ def test_criterion_12_vacuum_pair_extrema(reference_rows):
         12, "vacuum+pair: E_min = 0.3546, E_max = 1.0071",
         reference_rows, ["12.1", "12.2"],
     )
+
+
+# On a 1|1 cut the relabellings up to local ones, which keep the entropy,
+# form CP^1: a sphere that beam_splitter(2, 0, 1, t, phi) covers for t in
+# [0, pi/2] and phi in [0, 2 pi).  The grid holds t = pi/4, phi = pi/2, where
+# |20>+|02> becomes |11>.
+GRID_T = np.linspace(0.0, math.pi / 2, 33)
+GRID_PHI = np.arange(64) * (2 * math.pi / 64)
+# Every point of the sphere lies within the Fubini-Study distance
+# r = sqrt((dt/2)^2 + (sin t cos t dphi/2)^2) <= dt/sqrt(2) of a grid point,
+# since dphi = 2 dt.  Across its ridge of maxima E bends by 23.1 bits/rad^2
+# for |20>+|02> and 1.95 for |00>+|11>, so with a bound of 24 the nearest grid
+# point lies at most 24 r^2 / 2 = 6 dt^2 (0.0145 bits) short of an extremum.
+GRID_MARGIN = 6 * (GRID_T[1] - GRID_T[0]) ** 2
+
+
+def test_grid_scan_bounds_single_mode_cut_extrema(reference_rows):
+    cut = Partition((0,), (1,))
+    for factory, min_row, max_row in (
+        (two_photon_pair, "6.1", "6.2"), (vacuum_plus_pair, "12.1", "12.2"),
+    ):
+        state = factory()
+        scan = [
+            schmidt_spectrum(apply_redefinition(state, beam_splitter(2, 0, 1, t, phi)), cut)
+            .entropy_bits
+            for t in GRID_T for phi in GRID_PHI
+        ]
+        e_min = reference_rows[min_row]["computed"]
+        e_max = reference_rows[max_row]["computed"]
+        # No grid point beats the optimizer, and no extremum it reports lies
+        # farther from the grid than the margin.
+        assert e_min - 1e-12 <= min(scan) < e_min + GRID_MARGIN, min_row
+        assert e_max - GRID_MARGIN < max(scan) <= e_max + 1e-12, max_row
+    print(f"grid check PASS: rows 6.1, 6.2, 12.1 and 12.2 bound a "
+          f"{len(GRID_T)} x {len(GRID_PHI)} scan of the 1|1 coset within "
+          f"{GRID_MARGIN:.4f} bits")
 
 
 def test_criterion_13_redefinition_laws():

@@ -47,8 +47,7 @@ def test_entropy_json_matches_library(capsys):
     assert doc["rank"] == spectrum.numerical_rank
     assert doc["rank_bound"] == rank_bound(state, part)
     assert set(doc) == {
-        "input", "partition", "lambdas", "entropy_bits", "rank",
-        "rank_bound", "wall_ms",
+        "input", "partition", "lambdas", "entropy_bits", "rank", "rank_bound",
     }
 
 
@@ -58,8 +57,9 @@ REPORT_QUERIES = {
                  "--restarts", "3"],
     "rank-bound": ["rank-bound", "|20>+|02>", "--partition", "0|1"],
 }
-# The reports' bytes with the wall time masked: the key order, the table's
-# six decimals and column width, and the keys each command leaves out.
+# The reports' bytes with the table's wall time masked: the key order, the
+# table's six decimals and column width, and the keys each command leaves out.
+# The JSON forms carry no wall time, so they are compared unmasked.
 REPORT_BYTES = {
     ("entropy", "table"): """\
 input          |01>+|10>
@@ -91,14 +91,14 @@ wall_ms        *
 """,
     ("entropy", "json"): '{"input": "|01>+|10>", "partition": "0|1", "lambdas": '
     '[0.4999999999999999, 0.4999999999999999], "entropy_bits": 1.0, "rank": 2, '
-    '"rank_bound": 2, "wall_ms": *}\n',
+    '"rank_bound": 2}\n',
     ("optimize", "json"): '{"input": "|20>+|02>", "partition": "0|1", "lambdas": '
     '[0.33333333333431503, 0.3333333333328409, 0.3333333333328404], '
     '"entropy_bits": 1.5849625007211556, "rank": 3, "rank_bound": 3, '
     '"direction": "max", "best": 1.5849625007211556, "restart_values": '
-    '[1.0, 1.5849625007211556, 1.5849625007211552], "seed": 0, "wall_ms": *}\n',
+    '[1.0, 1.5849625007211556, 1.5849625007211552], "seed": 0}\n',
     ("rank-bound", "json"): '{"input": "|20>+|02>", "partition": "0|1", '
-    '"rank_bound": 3, "wall_ms": *}\n',
+    '"rank_bound": 3}\n',
 }
 
 
@@ -109,7 +109,7 @@ def test_report_bytes_are_pinned(command, form, capsys):
     assert run_cli(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    masked = re.sub(r'(wall_ms(?:": | +))[0-9.e+-]+', r"\1*", captured.out)
+    masked = re.sub(r"(?m)^(wall_ms +)[0-9.e+-]+$", r"\1*", captured.out)
     assert masked == REPORT_BYTES[command, form]
 
 
@@ -436,7 +436,6 @@ def test_repeated_calls_match_fresh_parser(capsys):
         code = run_cli(argv)
         captured = capsys.readouterr()
         report = json.loads(captured.out) if captured.out else {}
-        report.pop("wall_ms", None)
         return code, report, captured.err
 
     warm = [outcome(argv) for argv in queries]

@@ -1,6 +1,7 @@
 """Smoke test of tools/layers.py, the in-process per-part timer of the
-``rewrite`` and ``objective`` benchmark workloads, and a canned-run test of
-tools/pairs.py, the alternating runner of two checkouts."""
+``rewrite`` and ``objective`` benchmark workloads, a canned-run test of
+tools/pairs.py, the alternating runner of two checkouts, and a repeat test of
+tools/query_peak.py, the one-query process runner."""
 
 import json
 import subprocess
@@ -117,3 +118,20 @@ def test_pairs_tool_alternates_and_summarizes_canned_runs(tmp_path, monkeypatch,
         pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                     "--workload", "rewrite", "--seed", "3", "--out", str(tmp_path / "x.json")])
     assert capsys.readouterr().out == "" and not (tmp_path / "x.json").exists()
+
+
+def test_query_peak_tool_hashes_repeated_json_reports_alike():
+    # Two runs of one `--json` report query at once: the same exit code and
+    # stdout hash, so the hash can compare a report query across trees.
+    command = [sys.executable, "tools/query_peak.py", "--src", "src", "--",
+               "rank-bound", "|20>+|02>", "--partition", "0|1", "--json"]
+    runs = [subprocess.Popen(command, cwd=ROOT, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    lines = []
+    for run in runs:
+        out, err = run.communicate(timeout=60)
+        assert run.returncode == 0, err
+        lines.append(json.loads(out))
+    assert [line["exit_code"] for line in lines] == [0, 0]
+    assert lines[0]["stdout_sha256"] == lines[1]["stdout_sha256"]
+    assert lines[0]["stdout_bytes"] > 0

@@ -24,8 +24,6 @@ from .errors import (
 from .fock import (
     Occupation,
     PureState,
-    basis_state,
-    canonicalize_phase,
     enumerate_sector,
     inner_product,
     normalize,
@@ -70,9 +68,7 @@ __all__ = [
     "SizeLimitError",
     "UnitaryFileError",
     "apply_redefinition",
-    "basis_state",
     "beam_splitter",
-    "canonicalize_phase",
     "entropy_of_spectrum",
     "enumerate_sector",
     "exp_map",

@@ -28,7 +28,7 @@ from .errors import (
     PartitionError,
     SizeLimitError,
 )
-from .fock import normalize
+from .fock import normalize, uint
 from .ketparse import format_state, parse_state, parse_unitary_file
 from .optimize import OptConfig, optimize_entanglement
 from .suite import run_reference_suite
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", parents=[query],
                               help="extremize entropy over mode redefinitions")
     optimize.add_argument("--direction", required=True, choices=("min", "max"))
-    optimize.add_argument("--restarts", type=int, default=24)
-    optimize.add_argument("--seed", type=int, default=0)
+    optimize.add_argument("--restarts", type=uint, default=24)
+    optimize.add_argument("--seed", type=uint, default=0)
     optimize.set_defaults(handler=_cmd_optimize)
 
     bound = sub.add_parser("rank-bound", parents=[query],
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("paper-suite", parents=[output],
                            help="run the built-in reproduction table of reference values")
-    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument("--seed", type=uint, default=0)
     suite.set_defaults(handler=_cmd_suite)
 
     return parser

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, PartitionError
-from .fock import NORM_TOLERANCE, PureState, require_normalized, sector_dimension
+from .fock import NORM_TOLERANCE, PureState, require_normalized, sector_dimension, uint
 
 # lambdas above this count toward the numerical Schmidt rank; sits between
 # double-precision noise and the smallest meaningful eigenvalue in practice.
@@ -67,11 +67,8 @@ class Partition:
                 f"expected exactly one '|' in partition string {text!r}"
             )
         sides = [[tok.strip() for tok in half.split(",") if tok.strip()] for half in halves]
-        # int() alone would also take signs, '_' and non-ASCII digits, and it
-        # raises ValueError past Python's int-to-str digit limit.
-        if all(tok.isascii() and tok.isdigit() for side in sides for tok in side):
-            with contextlib.suppress(ValueError):
-                return cls(*(tuple(map(int, side)) for side in sides))
+        with contextlib.suppress(ValueError):
+            return cls(*(tuple(map(uint, side)) for side in sides))
         raise PartitionError(f"bad mode index in partition string {text!r}")
 
     def __str__(self) -> str:

@@ -38,6 +38,21 @@ def _as_occupation(occ, mode_count: int) -> Occupation:
     return counts
 
 
+def is_uint(text: str) -> bool:
+    """Whether `text` is an unsigned integer of ASCII digits alone, the rule
+    for mode counts, mode indices and the CLI's integer options; ``int()``
+    would also read signs, '_', blanks and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
+def uint(text: str) -> int:
+    """`text` as an int when ``is_uint(text)``, else ValueError; ``int()``
+    raises ValueError too past the interpreter's int-to-str digit limit."""
+    if not is_uint(text):
+        raise ValueError(f"not an unsigned integer of ASCII digits: {text!r}")
+    return int(text)
+
+
 class PureState:
     """Sparse pure state over the |n1 ... nM> photon-number basis.
 
@@ -96,12 +111,6 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(mode_count={self.mode_count}, terms={len(self.amplitudes)})"
-
-
-def basis_state(occ) -> PureState:
-    """Single basis ket |n1 ... nM> with amplitude one."""
-    counts = tuple(operator.index(c) for c in occ)
-    return PureState(len(counts), {counts: 1.0})
 
 
 def enumerate_sector(mode_count: int, total: int) -> list[Occupation]:
@@ -193,20 +202,3 @@ def sector_weights(state: PureState) -> dict[int, float]:
         total = sum(occ)
         weights[total] = weights.get(total, 0.0) + abs(amp) ** 2
     return dict(sorted(weights.items()))
-
-
-def _lead_phase_factor(lead: complex) -> complex:
-    """Unit factor that makes the first canonical amplitude, `lead`, real-positive."""
-    return (lead / abs(lead)).conjugate()
-
-
-def canonicalize_phase(state: PureState) -> PureState:
-    """Multiply by a global phase so the first canonical amplitude is real-positive."""
-    if not state.amplitudes:
-        return state
-    factor = _lead_phase_factor(state.amplitudes[max(state.amplitudes)])
-    return PureState._of_checked(
-        state.mode_count,
-        state.amplitudes,
-        [amp * factor for amp in state.amplitudes.values()],
-    )

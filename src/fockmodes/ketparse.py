@@ -14,7 +14,7 @@ positions into the input)::
               is an imaginary literal.
 
 Like kets merge by summing coefficients, and a merged coefficient must have
-a finite modulus.  The result is normalized unless ``raw=True``.
+a finite modulus.  The result is normalized.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fock import (
     PRUNE_THRESHOLD,
     Occupation,
     PureState,
-    _lead_phase_factor,
+    is_uint,
     normalize,
     require_normalized,
 )
@@ -51,6 +51,10 @@ MAX_NESTING = 100
 # How tightly each binary operator of a coefficient binds, and what it does.
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 _APPLY = {"+": add, "-": sub, "*": mul, "/": truediv}
+# Digits format_state prints at most: past this, half a unit of the last
+# digit, 0.5 * 10.0 ** -precision, underflows to 0.0.
+MAX_PRECISION = 323
+
 
 def _scan_ket(text: str, start: int) -> tuple[Occupation, int]:
     """The counts of the ket opening at `start`, and the offset past its '>'."""
@@ -58,10 +62,6 @@ def _scan_ket(text: str, start: int) -> tuple[Occupation, int]:
     if end < 0:
         raise KetParseError("unterminated ket, missing '>'", start)
     body = text[start + 1 : end]
-
-    def is_uint(token: str) -> bool:
-        return token.isascii() and token.isdigit()
-
     if "," in body:
         counts = []
         offset = start + 1
@@ -228,8 +228,8 @@ class _Parser:
         )
 
 
-def parse_state(text: str, *, raw: bool = False) -> PureState:
-    """Parse a ket expression into a PureState (normalized unless raw)."""
+def parse_state(text: str) -> PureState:
+    """Parse a ket expression into a normalized PureState."""
     terms = _Parser(text).parse_state()
     mode_count = len(terms[0][1])
     first_pos = terms[0][2]
@@ -246,31 +246,34 @@ def parse_state(text: str, *, raw: bool = False) -> PureState:
     state = PureState._of_checked(mode_count, merged, merged.values())
     if not state.amplitudes:
         raise KetParseError("state is zero after merging like terms", first_pos)
-    if raw:
-        return state
     return normalize(state)
 
 
 def format_state(state: PureState, precision: int = 7) -> str:
     """Render a normalized state in canonical order.
 
-    The global phase is canonicalized so the leading amplitude is real and
+    The global phase is turned so the leading amplitude is real and
     positive.  The amplitudes are sorted by occupation once, which takes
     linear time on the canonical order ``apply_redefinition`` emits, and one
-    loop multiplies each by the lead's phase factor, without a
-    canonicalized copy of the state, and picks its piece of the template.
-    A term whose coefficient would print as zero, both parts under half a
-    unit of the last digit, is left out, and so is one below
-    PRUNE_THRESHOLD, as `canonicalize_phase` would drop it.  The kets take
+    loop multiplies each by the lead's phase factor, without a turned copy
+    of the state, and picks its piece of the template.  A term whose
+    coefficient would print as zero, both parts under half a unit of the
+    last digit, is left out, and so is one whose turned amplitude is below
+    PRUNE_THRESHOLD, as a state built from it would drop it.  The kets take
     the comma form when a count printed exceeds 9; then the kept terms fill
     one joined template, whose kets are %d fields, with one %-format.  The
     output parses back to the same state within 10^(1-precision) per
     amplitude.  A state none of whose terms prints at `precision` prints
-    its largest term alone, with a zero coefficient.
+    its largest term alone, with a zero coefficient.  `precision` must be
+    an int from 0 to MAX_PRECISION; anything else is a ValueError.
     """
+    if type(precision) is not int or not 0 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be an int from 0 to {MAX_PRECISION}, "
+                         f"got {precision!r}")
     require_normalized(state)
     items = sorted(state.amplitudes.items(), reverse=True)
-    factor = _lead_phase_factor(items[0][1])
+    # The unit factor that makes the lead amplitude real-positive.
+    factor = (items[0][1] / abs(items[0][1])).conjugate()
     eps = 0.5 * 10.0 ** (-precision)
     # Up to 14 digits a term that prints has a modulus of at least eps,
     # above PRUNE_THRESHOLD.

@@ -43,8 +43,7 @@ class ModeUnitary:
 
     The library's one unitarity check: a matrix whose max |U†U - I| is above
     UNITARY_TOLERANCE raises NotUnitaryError naming that residual.  The
-    wrapped array is marked read-only; compose with ``@`` and invert with
-    ``adjoint()``.
+    wrapped array is marked read-only; compose with ``@``.
     """
 
     __slots__ = ("dim", "matrix")
@@ -67,13 +66,6 @@ class ModeUnitary:
         m.setflags(write=False)
         self.dim = int(m.shape[0])
         self.matrix = m
-
-    @classmethod
-    def identity(cls, dim: int) -> "ModeUnitary":
-        return cls(np.eye(dim, dtype=complex))
-
-    def adjoint(self) -> "ModeUnitary":
-        return ModeUnitary(self.matrix.conj().T)
 
     def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
         if not isinstance(other, ModeUnitary):

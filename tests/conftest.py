@@ -24,6 +24,16 @@ def random_state(rng, mode_count, totals):
     return PureState(mode_count, {occ: a / norm for occ, a in amps.items()})
 
 
+def turn_lead_real(state: PureState) -> PureState:
+    """The state times the global phase that makes its first amplitude in
+    canonical order real-positive; amplitudes it turns below the prune
+    threshold drop, as in any constructed state."""
+    lead = state.amplitudes[max(state.amplitudes)]
+    factor = (lead / abs(lead)).conjugate()
+    return PureState(state.mode_count,
+                     {occ: amp * factor for occ, amp in state.amplitudes.items()})
+
+
 def states_close(a: PureState, b: PureState, tol: float) -> bool:
     """Amplitude-by-amplitude agreement (no phase freedom)."""
     keys = set(a.amplitudes) | set(b.amplitudes)

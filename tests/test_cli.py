@@ -4,6 +4,7 @@ import re
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from fockmodes import (
@@ -254,6 +255,18 @@ def test_restarts_past_the_cap_is_usage_error(capsys):
     assert str(MAX_RESTARTS) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["٣", "1_0", "+3", "-1", " 3"])
+@pytest.mark.parametrize("option", [
+    ["optimize", "|01>+|10>", "--partition", "0|1", "--direction", "max", "--restarts"],
+    ["optimize", "|01>+|10>", "--partition", "0|1", "--direction", "max", "--seed"],
+    ["paper-suite", "--seed"],
+], ids=["optimize-restarts", "optimize-seed", "paper-suite-seed"])
+def test_integer_options_take_ascii_digits_alone(option, text, capsys):
+    # The partition's digit rule: int() would read each of these.
+    assert run_cli([*option, text]) == 2
+    assert f"invalid uint value: {text!r}" in capsys.readouterr().err
+
+
 def test_newline_inside_a_ket_is_whitespace(capsys):
     # Whitespace inside a ket is insignificant: exit 0, no traceback.
     argv = ["entropy", "|1\n0>", "--partition", "0|1", "--json"]
@@ -411,7 +424,7 @@ def test_numerical_consistency_maps_to_exit_4(monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["transform", "optimize"])
 def test_oversized_state_is_size_limit_exit_5(command, capsys, tmp_path):
     unitary = tmp_path / "identity3.json"
-    unitary.write_text(format_unitary_file(ModeUnitary.identity(3)))
+    unitary.write_text(format_unitary_file(ModeUnitary(np.eye(3))))
     options = {
         "transform": ["--unitary", str(unitary)],
         "optimize": ["--partition", "0|1,2", "--direction", "max"],

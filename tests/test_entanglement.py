@@ -15,7 +15,6 @@ from fockmodes import (
     PartitionError,
     PureState,
     apply_redefinition,
-    basis_state,
     entropy_of_spectrum,
     enumerate_sector,
     format_state,
@@ -86,7 +85,7 @@ def canonical_matrix(state, partition):
 
 def test_schmidt_spectrum_partition_mismatch():
     with pytest.raises(PartitionError):
-        schmidt_spectrum(basis_state((1, 1)), Partition((0,), (2,)))
+        schmidt_spectrum(PureState(2, {(1, 1): 1.0}), Partition((0,), (2,)))
 
 
 def test_schmidt_spectrum_examples():
@@ -95,7 +94,7 @@ def test_schmidt_spectrum_examples():
     assert spectrum.entropy_bits == pytest.approx(1.0, abs=1e-12)
     assert spectrum.numerical_rank == 2
 
-    spectrum = schmidt_spectrum(basis_state((1, 1)), Partition((0,), (1,)))
+    spectrum = schmidt_spectrum(PureState(2, {(1, 1): 1.0}), Partition((0,), (1,)))
     np.testing.assert_allclose(spectrum.lambdas, [1.0], atol=1e-12)
     assert spectrum.entropy_bits == pytest.approx(0.0, abs=1e-12)
 
@@ -158,7 +157,7 @@ def test_rewrites_by_any_accepted_unitary_pass_every_check():
 
 def test_entropy_of_pure_state_is_positive_zero():
     assert math.copysign(1.0, entropy_of_spectrum(np.array([1.0]))) == 1.0
-    spectrum = schmidt_spectrum(basis_state((1, 0)), Partition((0,), (1,)))
+    spectrum = schmidt_spectrum(PureState(2, {(1, 0): 1.0}), Partition((0,), (1,)))
     assert math.copysign(1.0, spectrum.entropy_bits) == 1.0
 
 
@@ -305,7 +304,7 @@ def test_rank_bound_matches_sum_over_sectors():
                     min(math.comb(n + a - 1, a - 1), math.comb(total - n + b - 1, b - 1))
                     for n in range(total + 1)
                 )
-                state = basis_state((total,) + (0,) * (a + b - 1))
+                state = PureState(a + b, {(total,) + (0,) * (a + b - 1): 1.0})
                 assert rank_bound(state, cut) == expected, (a, b, total)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -14,17 +15,16 @@ from fockmodes import (
     PureState,
     UnitaryFileError,
     apply_redefinition,
-    canonicalize_phase,
     format_state,
     format_unitary_file,
     inner_product,
     parse_state,
     parse_unitary_file,
 )
-from fockmodes.ketparse import MAX_NESTING
+from fockmodes.ketparse import MAX_NESTING, MAX_PRECISION
 from fockmodes.suite import balanced_mixer
 
-from conftest import random_state, random_unitary
+from conftest import random_state, random_unitary, turn_lead_real
 
 
 def test_parse_compact_kets():
@@ -50,20 +50,21 @@ def test_parse_explicit_coefficients_match_auto_normalization():
 
 
 def test_parse_comma_form_allows_double_digits():
-    state = parse_state("|10,0> + |0,10>", raw=True)
+    state = parse_state("|10,0> + |0,10>")
     assert set(state.amplitudes) == {(10, 0), (0, 10)}
 
 
 def test_parse_coefficient_grammar():
-    state = parse_state("2*i*|10> - (1-i)*|01>", raw=True)
-    assert state.amplitudes[(1, 0)] == pytest.approx(2j)
-    assert state.amplitudes[(0, 1)] == pytest.approx(-(1 - 1j))
+    # Each coefficient divided by the norm of all of them.
+    state = parse_state("2*i*|10> - (1-i)*|01>")
+    assert state.amplitudes[(1, 0)] == pytest.approx(2j / math.sqrt(6))
+    assert state.amplitudes[(0, 1)] == pytest.approx(-(1 - 1j) / math.sqrt(6))
 
-    state = parse_state("0.5i*|10> + sqrt(9)/3*|01>", raw=True)
-    assert state.amplitudes[(1, 0)] == pytest.approx(0.5j)
-    assert state.amplitudes[(0, 1)] == pytest.approx(1.0)
+    state = parse_state("0.5i*|10> + sqrt(9)/3*|01>")
+    assert state.amplitudes[(1, 0)] == pytest.approx(0.5j / math.sqrt(1.25))
+    assert state.amplitudes[(0, 1)] == pytest.approx(1.0 / math.sqrt(1.25))
 
-    state = parse_state("-|10>", raw=True)
+    state = parse_state("-|10>")
     assert state.amplitudes[(1, 0)] == pytest.approx(-1.0)
 
 
@@ -243,8 +244,9 @@ def nested(depth: int) -> str:
 
 
 def test_nesting_at_the_bound_parses():
-    state = parse_state(nested(MAX_NESTING), raw=True)
-    assert state.amplitudes == {(0, 1): 1.0, (1, 0): -2.0}
+    state = parse_state(nested(MAX_NESTING))
+    norm = math.hypot(1.0, 2.0)
+    assert state.amplitudes == {(0, 1): 1.0 / norm, (1, 0): -2.0 / norm}
 
 
 def test_nesting_past_the_bound_is_a_parse_error_at_that_paren():
@@ -297,16 +299,18 @@ def stack_depth() -> int:
 @pytest.mark.parametrize("opener", OPENERS + ["(1+2*"])
 def test_each_nesting_level_costs_at_most_four_stack_frames(opener):
     # In '(1+2*' the next level is the right operand of a '*' that is itself
-    # the right operand of a '+'.
-    text = "|01> - " + opener * MAX_NESTING + "2" + ")" * MAX_NESTING + "*|10>"
+    # the right operand of a '+'.  Both kets take the nested coefficient, so
+    # neither term is pruned when the state is normalized.
+    coefficient = opener * MAX_NESTING + "2" + ")" * MAX_NESTING
+    text = f"{coefficient}*|01> - {coefficient}*|10>"
     limit = sys.getrecursionlimit()
     # Four frames a level, and 25 for the calls above the first level.
     sys.setrecursionlimit(stack_depth() + 4 * MAX_NESTING + 25)
     try:
-        state = parse_state(text, raw=True)
+        state = parse_state(text)
     finally:
         sys.setrecursionlimit(limit)
-    assert set(state.amplitudes) == {(0, 1), (1, 0)}
+    assert state.amplitudes == pytest.approx({(0, 1): 2**-0.5, (1, 0): -(2**-0.5)}, abs=1e-15)
 
 
 def test_comma_count_errors_point_at_the_count():
@@ -361,6 +365,25 @@ def test_format_exact_strings(text, precision, rendered):
     assert format_state(parse_state(text), precision=precision) == rendered
 
 
+@pytest.mark.parametrize("precision", [-1, True, 2.5, "7", None, MAX_PRECISION + 1, 400])
+def test_format_refuses_a_precision_that_is_not_a_digit_count(precision):
+    # Past MAX_PRECISION half a unit of the last digit underflows to 0.0, and
+    # a real amplitude would print in complex form.
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(precision))}$"):
+        format_state(parse_state("|10>+|01>"), precision=precision)
+
+
+def test_format_takes_each_precision_from_zero_to_the_bound():
+    # At MAX_PRECISION half a unit of the last digit is still above 0.0, so
+    # a real amplitude prints in real form.
+    state = parse_state("|10>+|01>")
+    assert format_state(state, precision=0) == "|10> + |01>"
+    amp = state.amplitudes[(1, 0)].real
+    assert format_state(state, precision=MAX_PRECISION) == (
+        "{0:.{1}f}*|10> + {0:.{1}f}*|01>".format(amp, MAX_PRECISION)
+    )
+
+
 def test_format_leaves_out_terms_that_print_as_zero():
     # 0.004 prints as zero at two digits and 0.04 at one; the ket form
     # follows the printed terms, so without |0,10> it is the digit form.
@@ -383,8 +406,8 @@ def test_format_round_trip_on_random_states(rng):
         totals = tuple(rng.choice(4, size=int(rng.integers(1, 3)), replace=False))
         state = random_state(rng, mode_count, totals)
         recovered = parse_state(format_state(state, precision=7))
-        reference = canonicalize_phase(state)
-        recovered = canonicalize_phase(recovered)
+        reference = turn_lead_real(state)
+        recovered = turn_lead_real(recovered)
         for occ in set(reference.amplitudes) | set(recovered.amplitudes):
             delta = abs(
                 reference.amplitudes.get(occ, 0j) - recovered.amplitudes.get(occ, 0j)
@@ -401,7 +424,7 @@ def test_format_round_trip_uniform_triple():
 def reference_format(state, precision=7):
     """Term-by-term renderer of a phase-canonicalized copy, kept as the oracle
     for `format_state`.  A term whose parts both round to zero is left out."""
-    canon = canonicalize_phase(state)
+    canon = turn_lead_real(state)
     eps = 0.5 * 10.0 ** (-precision)
     spec = f".{precision}f"
     support = [

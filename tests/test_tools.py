@@ -1,9 +1,11 @@
 """Smoke test of tools/layers.py, the in-process per-part timer of the
 ``rewrite`` and ``objective`` benchmark workloads, a canned-run test of
-tools/pairs.py, the alternating runner of two checkouts, and a repeat test of
-tools/query_peak.py, the one-query process runner."""
+tools/pairs.py, the alternating runner of two checkouts, a repeat test of
+tools/query_peak.py, the one-query process runner, and a canned-record test
+of the after-the-bound counts of tools/suite_rows.py."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +137,30 @@ def test_query_peak_tool_hashes_repeated_json_reports_alike():
     assert [line["exit_code"] for line in lines] == [0, 0]
     assert lines[0]["stdout_sha256"] == lines[1]["stdout_sha256"]
     assert lines[0]["stdout_bytes"] > 0
+
+
+def test_suite_rows_counts_the_work_after_the_first_restart_at_the_bound(monkeypatch):
+    # Canned (values, gradients, entropy) records stand in for the restarts
+    # of one optimizer call; the restarts after the first at the bound count.
+    import importlib.util
+
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    spec = importlib.util.spec_from_file_location("suite_rows", ROOT / "tools" / "suite_rows.py")
+    suite_rows = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite_rows)
+    after_bound = suite_rows.after_bound
+    top = math.log2(3)
+    # min: 1e-9 is at the bound 0, and the restarts after it count even
+    # where they end at the bound too.
+    restarts = [(40, 9, 0.31), (25, 11, 1e-9), (7, 3, 0.0), (12, 6, 0.2)]
+    assert after_bound(restarts, 0.0) == {
+        "first_at_bound": 1, "values_after_bound": 19, "gradients_after_bound": 9}
+    # max: 2e-9 below log2 3 is not at the bound, 1e-12 below it is.
+    restarts = [(30, 20, top - 2e-9), (8, 5, top), (16, 10, top - 1e-12), (9, 4, 1.0)]
+    assert after_bound(restarts, top) == {
+        "first_at_bound": 1, "values_after_bound": 25, "gradients_after_bound": 14}
+    assert after_bound(restarts[:1] + restarts[3:], top) == {
+        "first_at_bound": None, "values_after_bound": 0, "gradients_after_bound": 0}
+    assert after_bound(restarts[:2], top) == {
+        "first_at_bound": 1, "values_after_bound": 0, "gradients_after_bound": 0}
+    assert after_bound([], 0.0)["first_at_bound"] is None
